@@ -1,15 +1,16 @@
 //! Criterion micro-benchmarks for the hot kernels under the experiments:
 //! Smith–Waterman alignment (full + banded), DTBA forward pass, docking
-//! pose scoring, dictionary interning, hash join, vector top-k, and cache
-//! get/put.
+//! pose scoring, dictionary interning, the engine's batch hash join (with
+//! and without an empty probe side), a 2,048-way exchange, vector top-k,
+//! and cache get/put.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use ids_cache::{BackingStore, CacheConfig, CacheManager};
 use ids_chem::sequence::ProteinSequence;
 use ids_chem::smiles::parse_smiles;
-use ids_graph::{ops, Dictionary, SolutionSet, Term, TermId};
+use ids_graph::{ops, Dictionary, Routing, SolutionBatch, SolutionSet, Term, TermId};
 use ids_models::{DockingEngine, DtbaModel, MoleculeGenerator, SmithWaterman};
-use ids_simrt::rng::SplitMix64;
+use ids_simrt::rng::{fnv1a, hash_combine, SplitMix64};
 use ids_simrt::{NetworkModel, RankId, Topology};
 use ids_vector::store::{Metric, VectorStore};
 use std::hint::black_box;
@@ -91,18 +92,51 @@ fn bench_dictionary(c: &mut Criterion) {
 }
 
 fn bench_hash_join(c: &mut Criterion) {
-    let left = SolutionSet::new(
+    let left = SolutionBatch::from_set(&SolutionSet::new(
         vec!["k".into(), "l".into()],
         (0..10_000u64).map(|i| vec![TermId(i % 1000), TermId(i)]).collect(),
-    );
-    let right = SolutionSet::new(
+    ));
+    let right = SolutionBatch::from_set(&SolutionSet::new(
         vec!["k".into(), "r".into()],
         (0..1000u64).map(|i| vec![TermId(i), TermId(i + 50_000)]).collect(),
-    );
+    ));
+    // Most rank-local joins at 2,048 ranks have an empty side.
+    let empty = SolutionBatch::empty(left.vars().to_vec());
     let mut g = c.benchmark_group("join");
     g.throughput(Throughput::Elements(10_000));
-    g.bench_function("hash_join_10k_x_1k", |bench| {
-        bench.iter(|| black_box(ops::hash_join(black_box(&left), black_box(&right))))
+    g.bench_function("hash_join_batch_10k_x_1k", |bench| {
+        bench.iter(|| black_box(ops::hash_join_batch(black_box(&left), black_box(&right))))
+    });
+    g.bench_function("hash_join_batch_empty_probe_x_1k", |bench| {
+        bench.iter(|| black_box(ops::hash_join_batch(black_box(&empty), black_box(&right))))
+    });
+    g.finish();
+}
+
+/// A 2,048-way hash exchange: 2,048 source batches of 64 rows routed by
+/// the engine's placement hash and scattered into every destination.
+fn bench_repartition(c: &mut Criterion) {
+    const RANKS: usize = 2048;
+    let sources: Vec<SolutionBatch> = (0..RANKS as u64)
+        .map(|s| {
+            SolutionBatch::from_set(&SolutionSet::new(
+                vec!["k".into(), "v".into()],
+                (0..64u64).map(|i| vec![TermId(s * 64 + i), TermId(i)]).collect(),
+            ))
+        })
+        .collect();
+    let dest = |b: &SolutionBatch, i: usize| {
+        let h = hash_combine(0xA17C_E55E, fnv1a(&b.column(0).get(i).to_le_bytes()));
+        (h % RANKS as u64) as usize
+    };
+    let mut g = c.benchmark_group("exchange");
+    g.throughput(Throughput::Elements((RANKS * 64) as u64));
+    g.bench_function("repartition_2048_ranks_131k_rows", |bench| {
+        bench.iter_batched(
+            || sources.clone(),
+            |sources| black_box(Routing::route(sources, RANKS, dest).map(|r| r.scatter(|_| true))),
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }
@@ -163,6 +197,7 @@ criterion_group!(
     bench_docking_score,
     bench_dictionary,
     bench_hash_join,
+    bench_repartition,
     bench_vector_search,
     bench_cache,
     bench_molgen

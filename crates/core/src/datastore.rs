@@ -100,9 +100,11 @@ impl Datastore {
         self.graph.read().scan_shard(shard, pat)
     }
 
-    /// Count matches in one shard.
-    pub fn count_shard(&self, shard: usize, pat: &TriplePattern) -> usize {
-        self.graph.read().count_shard(shard, pat)
+    /// Run `f` over the graph store under one read lock — for phases that
+    /// touch every shard (2,048 shard scans take the lock once, not 2,048
+    /// times).
+    pub fn with_graph<R>(&self, f: impl FnOnce(&PartitionedStore) -> R) -> R {
+        f(&self.graph.read())
     }
 
     /// Global match count (planner cardinality estimates).

@@ -22,7 +22,7 @@ use crate::datastore::Datastore;
 use crate::planner::{PhysicalPattern, PhysicalPlan, PhysicalStage};
 use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
 use ids_graph::ops as gops;
-use ids_graph::{BatchChannel, SolutionBatch, SolutionSet, TermId};
+use ids_graph::{BatchChannel, Routing, ScanSpec, SolutionBatch, SolutionSet, TermId};
 use ids_obs::MetricsRegistry;
 use ids_simrt::rng::{fnv1a, hash_combine};
 use ids_simrt::{Cluster, ExchangeCost, RankId, SpeculationPolicy, SpeculationReport};
@@ -34,7 +34,7 @@ use ids_udf::{
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Lock a worker-side list even if a panicking worker poisoned it: the
 /// lists are append-only, so the data is valid regardless of where the
@@ -1438,18 +1438,21 @@ impl PlanRun {
                 // rank's scan progresses, so snapshot the per-rank clocks
                 // before the phase starts.
                 let produce_start = cluster.clocks().to_vec();
-                let scanned: Vec<SolutionBatch> = cluster.execute("scan", |ctx| {
-                    let shard = ctx.rank().index();
-                    let triples = ds.scan_shard(shard, &pat.pattern);
-                    ctx.charge(1.0e-5 + triples.len() as f64 * opts.scan_secs_per_triple);
-                    ctx.count("triples_scanned", triples.len() as u64);
-                    gops::scan_to_batch(
-                        &pat.pattern,
-                        pat.var_s.as_deref(),
-                        pat.var_p.as_deref(),
-                        pat.var_o.as_deref(),
-                        &triples,
-                    )
+                // One read lock for the whole phase: every shard's batch is
+                // filled straight from its index range.
+                let spec = ScanSpec::new(
+                    pat.pattern,
+                    pat.var_s.as_deref(),
+                    pat.var_p.as_deref(),
+                    pat.var_o.as_deref(),
+                );
+                let scanned: Vec<SolutionBatch> = ds.with_graph(|graph| {
+                    cluster.execute("scan", |ctx| {
+                        let batch = graph.scan_shard_batch(ctx.rank().index(), &spec);
+                        ctx.charge(1.0e-5 + batch.len() as f64 * opts.scan_secs_per_triple);
+                        ctx.count("triples_scanned", batch.len() as u64);
+                        batch
+                    })
                 });
                 if !opts.pipelined {
                     // BSP: the world syncs before the exchange. Pipelined
@@ -1515,7 +1518,7 @@ impl PlanRun {
             if self.sets.is_none() {
                 // No patterns: a single empty-schema row on rank 0 lets
                 // constant filters and APPLY stages still run once.
-                let mut v = vec![SolutionBatch::empty(vec![]); ranks];
+                let mut v = vec![SolutionBatch::empty(Vec::<String>::new()); ranks];
                 v[0].push_row(&[]);
                 self.sets = Some(v);
             }
@@ -1994,6 +1997,7 @@ fn distributed_join(
         let merged_small = gops::merge_batches(small);
         let bytes = merged_small.byte_size() * ranks as u64;
         let replicated: Vec<SolutionBatch> = (0..ranks).map(|_| merged_small.clone()).collect();
+        let (replicated, big) = (JoinSide::full(replicated), JoinSide::full(big));
         if small_is_left {
             (replicated, big, bytes)
         } else {
@@ -2007,11 +2011,15 @@ fn distributed_join(
             *m += b;
         }
         let bytes: u64 = l.iter().chain(&r).map(SolutionBatch::byte_size).sum();
-        (l, r, bytes)
+        (JoinSide::full(l), JoinSide::full(r), bytes)
     } else {
-        let l = repartition_by_vars(left, &shared, ranks)?;
-        let r = repartition_by_vars(right, &shared, ranks)?;
-        let bytes: u64 = l.iter().chain(&r).map(SolutionBatch::byte_size).sum();
+        let l = route_by_vars(left, &shared, ranks)?;
+        let r = route_by_vars(right, &shared, ranks)?;
+        let bytes: u64 = (0..ranks).map(|d| l.byte_size(d) + r.byte_size(d)).sum();
+        // A rank whose other side is empty joins to nothing: its rows are
+        // priced (bytes above, rows in the join charge) but never copied.
+        let live: Vec<bool> = (0..ranks).map(|d| l.rows(d) > 0 && r.rows(d) > 0).collect();
+        let (l, r) = (JoinSide::scattered(l, &live), JoinSide::scattered(r, &live));
         (l, r, bytes)
     };
 
@@ -2053,10 +2061,14 @@ fn distributed_join(
     // per-batch dispatch with an amortized per-row probe versus the legacy
     // per-row charge.
     let meter = BatchMeter::new(metrics, "join");
-    let joined: Vec<SolutionBatch> = cluster.execute("join", |ctx| {
+    let spec = gops::JoinSpec::new(&left_vars, &right_vars);
+    let joined: Vec<Result<SolutionBatch, gops::OpError>> = cluster.execute("join", |ctx| {
         let r = ctx.rank().index();
-        let out = gops::hash_join_batch(&left[r], &right[r]);
-        let rows = left[r].len() + right[r].len() + out.len();
+        let out = match (&left.batches[r], &right.batches[r]) {
+            (Some(lb), Some(rb)) => spec.join(lb, rb)?,
+            _ => SolutionBatch::empty(Arc::clone(spec.schema())),
+        };
+        let rows = left.rows[r] + right.rows[r] + out.len();
         if opts.columnar {
             ctx.charge(columnar_cost(
                 rows,
@@ -2069,8 +2081,12 @@ fn distributed_join(
             ctx.charge(rows as f64 * opts.join_secs_per_row);
         }
         ctx.count("joined_rows", out.len() as u64);
-        out
+        Ok(out)
     });
+    let joined = joined
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| ExecError::msg(format!("join: {e}")))?;
     match exchange {
         Some(xc) => {
             // A rank's join cannot complete before its last inbound batch
@@ -2106,40 +2122,70 @@ fn fold_matrix_by_owner(cluster: &Cluster, matrix: &[u64], ranks: usize) -> Vec<
     out
 }
 
-/// Redistribute rows so equal join keys land on equal ranks.
-fn repartition_by_vars(
+/// Column indexes of the join-key variables `vars` in the sources' schema.
+fn join_key_columns(sets: &[SolutionBatch], vars: &[String]) -> Result<Vec<usize>, ExecError> {
+    let first = sets.first().ok_or_else(|| ExecError::msg("exchange with no source ranks"))?;
+    // The shared variables were computed from this schema, so lookup only
+    // fails on an internal planner bug — report it instead of panicking.
+    vars.iter()
+        .map(|v| {
+            first.var_index(v).ok_or_else(|| {
+                ExecError::msg(format!("join key ?{v} missing from schema {:?}", first.vars()))
+            })
+        })
+        .collect()
+}
+
+/// The rank a row's join key hashes to (the exchange placement hash).
+#[inline]
+fn key_placement(batch: &SolutionBatch, key_idx: &[usize], row: usize, ranks: usize) -> usize {
+    let mut h = 0xA17C_E55Eu64;
+    for &k in key_idx {
+        h = hash_combine(h, fnv1a(&batch.column(k).get(row).to_le_bytes()));
+    }
+    // `h % ranks`, without the division when `ranks` is a power of two.
+    let ranks = ranks as u64;
+    (if ranks.is_power_of_two() { h & (ranks - 1) } else { h % ranks }) as usize
+}
+
+fn exchange_error(e: gops::OpError) -> ExecError {
+    ExecError::msg(format!("exchange: {e}"))
+}
+
+/// Route rows so equal join keys land on equal ranks: one hash per row.
+/// Rank `d` receives its rows ordered by (source rank, row).
+fn route_by_vars(
     sets: Vec<SolutionBatch>,
     vars: &[String],
     ranks: usize,
-) -> Result<Vec<SolutionBatch>, ExecError> {
-    let schema = sets[0].vars().to_vec();
-    // The shared variables were computed from this schema, so lookup only
-    // fails on an internal planner bug — report it instead of panicking.
-    let key_idx: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            sets[0].var_index(v).ok_or_else(|| {
-                ExecError::msg(format!("join key ?{v} missing from schema {schema:?}"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    let mut out: Vec<SolutionBatch> =
-        (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-    let mut rowbuf: Vec<TermId> = Vec::new();
-    for set in sets {
-        for i in 0..set.len() {
-            set.copy_row(i, &mut rowbuf);
-            let mut h = 0xA17C_E55Eu64;
-            for &k in &key_idx {
-                h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
-            }
-            out[(h % ranks as u64) as usize].push_row(&rowbuf);
-        }
-    }
-    Ok(out)
+) -> Result<Routing, ExecError> {
+    let key_idx = join_key_columns(&sets, vars)?;
+    Routing::route(sets, ranks, |b, i| key_placement(b, &key_idx, i, ranks)).map_err(exchange_error)
 }
 
-/// Redistribute rows like [`repartition_by_vars`], but stream each
+/// One side of a rank-local join after its exchange: each rank's row
+/// count, and its rows wherever a join reads them (`None` where the other
+/// side is empty, so the join is empty whatever these rows hold).
+struct JoinSide {
+    rows: Vec<usize>,
+    batches: Vec<Option<SolutionBatch>>,
+}
+
+impl JoinSide {
+    fn full(batches: Vec<SolutionBatch>) -> Self {
+        Self {
+            rows: batches.iter().map(SolutionBatch::len).collect(),
+            batches: batches.into_iter().map(Some).collect(),
+        }
+    }
+
+    fn scattered(routing: Routing, live: &[bool]) -> Self {
+        let rows = (0..routing.parts()).map(|d| routing.rows(d)).collect();
+        Self { rows, batches: routing.scatter(|d| live[d]) }
+    }
+}
+
+/// Redistribute rows like [`route_by_vars`], but stream each
 /// (src, dst) flow through a bounded [`BatchChannel`] in sub-batches of
 /// [`ExecOptions::batch_rows`], returning the merged per-destination
 /// batches plus the `ranks × ranks` wire-byte matrix the streamed cost
@@ -2158,42 +2204,26 @@ fn repartition_streamed(
     ranks: usize,
     opts: &ExecOptions,
 ) -> Result<(Vec<SolutionBatch>, Vec<u64>), ExecError> {
-    let schema = sets[0].vars().to_vec();
-    let key_idx: Vec<usize> = vars
-        .iter()
-        .map(|v| {
-            sets[0].var_index(v).ok_or_else(|| {
-                ExecError::msg(format!("join key ?{v} missing from schema {schema:?}"))
-            })
-        })
-        .collect::<Result<_, _>>()?;
+    let key_idx = join_key_columns(&sets, vars)?;
     let batch_rows = opts.batch_rows.max(1);
+    let schema = Arc::clone(sets[0].schema());
     let mut out: Vec<SolutionBatch> =
-        (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
+        (0..ranks).map(|_| SolutionBatch::empty(Arc::clone(&schema))).collect();
     let mut bytes = vec![0u64; ranks * ranks];
-    let mut rowbuf: Vec<TermId> = Vec::new();
     for (src, set) in sets.into_iter().enumerate() {
-        let mut chans: Vec<BatchChannel> =
-            (0..ranks).map(|_| BatchChannel::new(opts.exchange_channel_capacity)).collect();
-        let mut pending: Vec<SolutionBatch> =
-            (0..ranks).map(|_| SolutionBatch::empty(schema.clone())).collect();
-        for i in 0..set.len() {
-            set.copy_row(i, &mut rowbuf);
-            let mut h = 0xA17C_E55Eu64;
-            for &k in &key_idx {
-                h = hash_combine(h, fnv1a(&rowbuf[k].raw().to_le_bytes()));
-            }
-            let dst = (h % ranks as u64) as usize;
-            pending[dst].push_row(&rowbuf);
-            if pending[dst].len() >= batch_rows {
-                let full =
-                    std::mem::replace(&mut pending[dst], SolutionBatch::empty(schema.clone()));
-                channel_send(&mut chans[dst], &mut out[dst], full);
-            }
-        }
-        for (dst, (mut chan, tail)) in chans.into_iter().zip(pending).enumerate() {
-            if !tail.is_empty() {
-                channel_send(&mut chan, &mut out[dst], tail);
+        let parts = Routing::route(vec![set], ranks, |b, i| key_placement(b, &key_idx, i, ranks))
+            .map_err(exchange_error)?
+            .scatter(|_| true);
+        for (dst, part) in parts.into_iter().enumerate() {
+            let Some(part) = part.filter(|p| !p.is_empty()) else {
+                continue;
+            };
+            let mut chan = BatchChannel::new(opts.exchange_channel_capacity);
+            // Sub-batches are gathered, not split, so each one's column
+            // widths (and wire bytes) depend on its own rows only.
+            for start in (0..part.len()).step_by(batch_rows) {
+                let idx: Vec<usize> = (start..part.len().min(start + batch_rows)).collect();
+                channel_send(&mut chan, &mut out[dst], part.gather(&idx).map_err(exchange_error)?);
             }
             for batch in chan.drain() {
                 out[dst].append(batch);
@@ -2901,7 +2931,13 @@ mod tests {
         let keys = vec!["a".to_string()];
         let mut opts =
             ExecOptions { batch_rows: 4, exchange_channel_capacity: 2, ..Default::default() };
-        let barriered = repartition_by_vars(sets.clone(), &keys, 3).unwrap();
+        let barriered: Vec<SolutionBatch> = route_by_vars(sets.clone(), &keys, 3)
+            .unwrap()
+            .scatter(|_| true)
+            .into_iter()
+            .flatten()
+            .collect();
+        assert_eq!(barriered.len(), 3);
         let (streamed, bytes) = repartition_streamed(sets, &keys, 3, &opts).unwrap();
         for (b, s) in barriered.iter().zip(&streamed) {
             assert_eq!(b.vars(), s.vars());

@@ -21,8 +21,10 @@
 //!   mirror the row operators' output ordering, so a batch execution is
 //!   byte-identical to a row execution.
 
+use crate::ops::OpError;
 use crate::solution::SolutionSet;
 use crate::term::TermId;
+use std::sync::Arc;
 
 /// Term-id values of one column, at the narrowest sufficient width.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +51,12 @@ impl Column {
         }
     }
 
-    fn get(&self, i: usize) -> u64 {
+    /// The raw value at `i` (a null cell reads 0).
+    ///
+    /// # Panics
+    /// Panics if `i` is out of bounds.
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
         match self {
             Column::U32(v) => u64::from(v[i]),
             Column::U64(v) => v[i],
@@ -68,6 +75,61 @@ impl Column {
                 }
             },
             Column::U64(v) => v.push(value),
+        }
+    }
+
+    /// Collect `values` at the width pushing them one by one onto an empty
+    /// column would give: `u32` unless some value overflows it.
+    pub(crate) fn collect(values: impl IntoIterator<Item = u64>, capacity: usize) -> Column {
+        let mut values = values.into_iter();
+        let mut narrow = Vec::with_capacity(capacity);
+        while let Some(x) = values.next() {
+            match u32::try_from(x) {
+                Ok(n) => narrow.push(n),
+                Err(_) => {
+                    let mut wide: Vec<u64> = Vec::with_capacity(capacity.max(narrow.len() + 1));
+                    wide.extend(narrow.iter().map(|&n| u64::from(n)));
+                    wide.push(x);
+                    wide.extend(values);
+                    return Column::U64(wide);
+                }
+            }
+        }
+        Column::U32(narrow)
+    }
+
+    /// The values at rows `idx`, in that order, at push width.
+    pub(crate) fn gather(&self, idx: &[usize]) -> Column {
+        match self {
+            Column::U32(v) => Column::U32(idx.iter().map(|&i| v[i]).collect()),
+            Column::U64(v) => Column::collect(idx.iter().map(|&i| v[i]), idx.len()),
+        }
+    }
+
+    /// Append every value of `other` with push semantics: a `u32` column
+    /// widens only if an appended value overflows `u32`.
+    fn extend(&mut self, other: &Column) {
+        match (&mut *self, other) {
+            (Column::U32(d), Column::U32(s)) => d.extend_from_slice(s),
+            (Column::U64(d), Column::U32(s)) => d.extend(s.iter().map(|&x| u64::from(x))),
+            (Column::U64(d), Column::U64(s)) => d.extend_from_slice(s),
+            (Column::U32(d), Column::U64(s)) => {
+                if s.iter().all(|&x| u32::try_from(x).is_ok()) {
+                    d.extend(s.iter().map(|&x| x as u32));
+                } else {
+                    let mut wide: Vec<u64> = Vec::with_capacity(d.len() + s.len());
+                    wide.extend(d.iter().map(|&x| u64::from(x)));
+                    wide.extend_from_slice(s);
+                    *self = Column::U64(wide);
+                }
+            }
+        }
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        match self {
+            Column::U32(v) => v.reserve(additional),
+            Column::U64(v) => v.reserve(additional),
         }
     }
 
@@ -91,7 +153,11 @@ pub struct ColumnData {
 
 impl ColumnData {
     fn new() -> Self {
-        Self { values: Column::U32(Vec::new()), nulls: None, null_count: 0 }
+        Self::bound(Column::U32(Vec::new()))
+    }
+
+    fn bound(values: Column) -> Self {
+        Self { values, nulls: None, null_count: 0 }
     }
 
     fn is_null(&self, i: usize) -> bool {
@@ -115,19 +181,41 @@ impl ColumnData {
 /// A columnar table of variable bindings.
 ///
 /// Schema and row order match the equivalent [`SolutionSet`] exactly; only
-/// the in-memory (and wire) layout differs.
+/// the in-memory (and wire) layout differs. The schema is shared: batches
+/// split, scattered, or scanned from one source hold the same
+/// `Arc<[String]>`, so a 2,048-way exchange allocates no variable names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolutionBatch {
-    vars: Vec<String>,
+    vars: Arc<[String]>,
     cols: Vec<ColumnData>,
     rows: usize,
 }
 
 impl SolutionBatch {
     /// An empty batch with the given schema.
-    pub fn empty(vars: Vec<String>) -> Self {
+    pub fn empty(vars: impl Into<Arc<[String]>>) -> Self {
+        let vars = vars.into();
         let cols = vars.iter().map(|_| ColumnData::new()).collect();
         Self { vars, cols, rows: 0 }
+    }
+
+    /// A fully bound batch of `rows` rows from one value column per
+    /// variable (a schema without variables still has rows: one per
+    /// match of a fully bound pattern).
+    ///
+    /// # Panics
+    /// Panics if the column count differs from the schema or a column's
+    /// length from `rows`.
+    pub(crate) fn from_columns(
+        vars: Arc<[String]>,
+        rows: usize,
+        columns: impl IntoIterator<Item = Column>,
+    ) -> Self {
+        let mut cols = Vec::with_capacity(vars.len());
+        cols.extend(columns.into_iter().map(ColumnData::bound));
+        assert_eq!(vars.len(), cols.len(), "one column per variable");
+        assert!(cols.iter().all(|c| c.values.len() == rows), "column length must match rows");
+        Self { vars, cols, rows }
     }
 
     /// Convert a row-oriented set (row order preserved).
@@ -150,11 +238,16 @@ impl SolutionBatch {
         for i in 0..self.rows {
             rows.push(self.cols.iter().map(|c| TermId(c.values.get(i))).collect());
         }
-        SolutionSet::new(self.vars.clone(), rows)
+        SolutionSet::new(self.vars.to_vec(), rows)
     }
 
     /// Variable names (column order).
     pub fn vars(&self) -> &[String] {
+        &self.vars
+    }
+
+    /// The shared schema handle.
+    pub fn schema(&self) -> &Arc<[String]> {
         &self.vars
     }
 
@@ -171,6 +264,15 @@ impl SolutionBatch {
     /// Index of a variable in the schema.
     pub fn var_index(&self, var: &str) -> Option<usize> {
         self.vars.iter().position(|v| v == var)
+    }
+
+    /// The values of column `col` (null cells read 0; see
+    /// [`Self::null_count`]).
+    ///
+    /// # Panics
+    /// Panics if `col` is out of bounds.
+    pub fn column(&self, col: usize) -> &Column {
+        &self.cols[col].values
     }
 
     /// The binding at (`row`, `col`), or `None` if it is null.
@@ -239,7 +341,8 @@ impl SolutionBatch {
         self.rows += 1;
     }
 
-    /// Append all rows of `other` (schemas must match exactly).
+    /// Append all rows of `other` (schemas must match exactly). Column
+    /// widths follow the same rule as pushing `other`'s rows one by one.
     ///
     /// # Panics
     /// Panics if schemas differ.
@@ -247,6 +350,10 @@ impl SolutionBatch {
         assert_eq!(self.vars, other.vars, "merge requires identical schemas");
         let base = self.rows;
         for (dst, src) in self.cols.iter_mut().zip(other.cols) {
+            if src.nulls.is_none() {
+                dst.values.extend(&src.values);
+                continue;
+            }
             for i in 0..src.values.len() {
                 if src.is_null(i) {
                     dst.values.push(0);
@@ -259,6 +366,13 @@ impl SolutionBatch {
         self.rows += other.rows;
     }
 
+    /// Reserve room for `additional` more rows in every column.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        for c in &mut self.cols {
+            c.values.reserve(additional);
+        }
+    }
+
     /// Split off rows `[at, len)` into a new batch, keeping `[0, at)`.
     ///
     /// # Panics
@@ -267,14 +381,30 @@ impl SolutionBatch {
     pub fn split_off(&mut self, at: usize) -> SolutionBatch {
         assert!(at <= self.rows, "split point out of bounds");
         assert_eq!(self.null_count(), 0, "split_off on a batch with nulls");
-        let cols = self
-            .cols
-            .iter_mut()
-            .map(|c| ColumnData { values: c.values.split_off(at), nulls: None, null_count: 0 })
-            .collect();
+        let cols =
+            self.cols.iter_mut().map(|c| ColumnData::bound(c.values.split_off(at))).collect();
         let moved = self.rows - at;
         self.rows = at;
-        SolutionBatch { vars: self.vars.clone(), cols, rows: moved }
+        SolutionBatch { vars: Arc::clone(&self.vars), cols, rows: moved }
+    }
+
+    /// The rows at `idx`, in that order, as a new batch sharing this
+    /// schema. Column widths are those pushing the rows one by one would
+    /// give, so [`Self::byte_size`] is unchanged by the route a row took.
+    ///
+    /// # Errors
+    /// [`OpError::NullBinding`] if the batch has null bindings.
+    pub fn gather(&self, idx: &[usize]) -> Result<SolutionBatch, OpError> {
+        self.check_bound()?;
+        let cols = self.cols.iter().map(|c| ColumnData::bound(c.values.gather(idx))).collect();
+        Ok(SolutionBatch { vars: Arc::clone(&self.vars), cols, rows: idx.len() })
+    }
+
+    pub(crate) fn check_bound(&self) -> Result<(), OpError> {
+        match self.cols.iter().position(|c| c.null_count > 0) {
+            Some(c) => Err(OpError::NullBinding { var: self.vars[c].clone() }),
+            None => Ok(()),
+        }
     }
 
     /// Exact serialized size in bytes under the columnar wire layout:
@@ -283,16 +413,166 @@ impl SolutionBatch {
     /// `⌈rows/8⌉` bitmap bytes when the column has nulls. This is the
     /// number the engine charges to networks, caches, and re-balancing.
     pub fn byte_size(&self) -> u64 {
-        let rows = self.rows as u64;
-        let mut total = 2u64 + 8;
-        for (v, c) in self.vars.iter().zip(&self.cols) {
-            total += 2 + v.len() as u64;
-            total += 1 + rows * c.values.width();
-            if c.nulls.is_some() {
-                total += rows.div_ceil(8);
+        wire_size(
+            &self.vars,
+            self.rows,
+            self.cols.iter().map(|c| (c.values.width(), c.nulls.is_some())),
+        )
+    }
+}
+
+/// [`SolutionBatch::byte_size`] of a batch with schema `vars`, `rows`
+/// rows, and per column its value width and whether it has a null bitmap.
+fn wire_size(vars: &[String], rows: usize, cols: impl Iterator<Item = (u64, bool)>) -> u64 {
+    let rows = rows as u64;
+    let mut total = 2u64 + 8;
+    for (v, (width, nullable)) in vars.iter().zip(cols) {
+        total += 2 + v.len() as u64;
+        total += 1 + rows * width;
+        if nullable {
+            total += rows.div_ceil(8);
+        }
+    }
+    total
+}
+
+/// Rows of a set of source batches routed to `parts` destinations — the
+/// data plane of a hash exchange, split in two passes so a caller can
+/// price every destination before paying for any copy.
+///
+/// [`Self::route`] computes each row's destination, each destination's
+/// row count, and which of its columns must be wide; that is enough for
+/// the exact [`Self::byte_size`] of every destination batch.
+/// [`Self::scatter`] then fills the destinations the caller still needs
+/// into columns reserved to their exact counts: one allocation per
+/// destination and column, not one per row, and none at all for a
+/// destination nobody reads (e.g. a join partition whose other side is
+/// empty).
+#[derive(Debug)]
+pub struct Routing {
+    sources: Vec<SolutionBatch>,
+    schema: Arc<[String]>,
+    /// `routes[s][i]`: destination of row `i` of source `s`.
+    routes: Vec<Vec<u32>>,
+    counts: Vec<usize>,
+    /// `wide[d * ncols + c]`: column `c` of destination `d` receives a
+    /// value past `u32::MAX` — exactly when pushing its rows one by one
+    /// would widen it.
+    wide: Vec<bool>,
+}
+
+impl Routing {
+    /// Route row `i` of `sources[s]` to `dest(&sources[s], i)`.
+    ///
+    /// # Errors
+    /// [`OpError::NoInput`] when `sources` is empty,
+    /// [`OpError::SchemaMismatch`] when the sources' schemas differ,
+    /// [`OpError::NullBinding`] on null bindings, and
+    /// [`OpError::PartOutOfRange`] when `dest` names a part `>= parts`.
+    pub fn route(
+        sources: Vec<SolutionBatch>,
+        parts: usize,
+        mut dest: impl FnMut(&SolutionBatch, usize) -> usize,
+    ) -> Result<Self, OpError> {
+        let schema = Arc::clone(&sources.first().ok_or(OpError::NoInput)?.vars);
+        let ncols = schema.len();
+        let mut routes: Vec<Vec<u32>> = Vec::with_capacity(sources.len());
+        let mut counts = vec![0usize; parts];
+        let mut wide = vec![false; parts * ncols];
+        for src in &sources {
+            if src.vars != schema {
+                return Err(OpError::SchemaMismatch {
+                    left: schema.to_vec(),
+                    right: src.vars.to_vec(),
+                });
+            }
+            src.check_bound()?;
+            let mut route = Vec::with_capacity(src.rows);
+            for i in 0..src.rows {
+                let d = dest(src, i);
+                if d >= parts {
+                    return Err(OpError::PartOutOfRange { part: d, parts });
+                }
+                counts[d] += 1;
+                route.push(d as u32);
+            }
+            for (c, col) in src.cols.iter().enumerate() {
+                if let Column::U64(v) = &col.values {
+                    for (&x, &d) in v.iter().zip(&route) {
+                        if x > u64::from(u32::MAX) {
+                            wide[d as usize * ncols + c] = true;
+                        }
+                    }
+                }
+            }
+            routes.push(route);
+        }
+        Ok(Self { sources, schema, routes, counts, wide })
+    }
+
+    /// Number of destinations.
+    pub fn parts(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Rows routed to destination `part`.
+    pub fn rows(&self, part: usize) -> usize {
+        self.counts[part]
+    }
+
+    /// Exact [`SolutionBatch::byte_size`] of destination `part`'s batch.
+    pub fn byte_size(&self, part: usize) -> u64 {
+        let ncols = self.schema.len();
+        let wide = &self.wide[part * ncols..(part + 1) * ncols];
+        wire_size(
+            &self.schema,
+            self.counts[part],
+            wide.iter().map(|&w| (if w { 8 } else { 4 }, false)),
+        )
+    }
+
+    /// Materialize the destinations `keep` selects (`None` for the rest).
+    /// Each holds its rows in (source, row) order and shares the sources'
+    /// schema.
+    pub fn scatter(self, keep: impl Fn(usize) -> bool) -> Vec<Option<SolutionBatch>> {
+        let ncols = self.schema.len();
+        let mut cols: Vec<Option<Vec<Column>>> = (0..self.parts())
+            .map(|d| {
+                keep(d).then(|| {
+                    (0..ncols)
+                        .map(|c| {
+                            if self.wide[d * ncols + c] {
+                                Column::U64(Vec::with_capacity(self.counts[d]))
+                            } else {
+                                Column::U32(Vec::with_capacity(self.counts[d]))
+                            }
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        for (src, route) in self.sources.iter().zip(&self.routes) {
+            for (c, col) in src.cols.iter().enumerate() {
+                for (i, &d) in route.iter().enumerate() {
+                    match cols[d as usize].as_mut().map(|part| &mut part[c]) {
+                        // Narrow part: every value routed here fits.
+                        Some(Column::U32(v)) => v.push(col.values.get(i) as u32),
+                        Some(Column::U64(v)) => v.push(col.values.get(i)),
+                        None => {}
+                    }
+                }
             }
         }
-        total
+        cols.into_iter()
+            .zip(self.counts)
+            .map(|(c, rows)| {
+                c.map(|c| SolutionBatch {
+                    vars: Arc::clone(&self.schema),
+                    cols: c.into_iter().map(ColumnData::bound).collect(),
+                    rows,
+                })
+            })
+            .collect()
     }
 }
 

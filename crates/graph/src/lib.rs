@@ -36,13 +36,13 @@ pub mod text;
 pub mod triple;
 
 pub use algo::{connected_components, pagerank};
-pub use batch::SolutionBatch;
+pub use batch::{Routing, SolutionBatch};
 pub use channel::BatchChannel;
 pub use dict::Dictionary;
 pub use ntriples::{parse_ntriples, write_ntriples};
 pub use sketch::KmvSketch;
 pub use solution::SolutionSet;
-pub use store::{PartitionedStore, ShardStats, TriplePattern};
+pub use store::{PartitionedStore, ScanSpec, ShardStats, TriplePattern};
 pub use term::{Term, TermId};
 pub use text::KeywordIndex;
 pub use triple::Triple;

@@ -9,7 +9,7 @@
 //! Blank nodes are mapped to IRIs under the `_:` prefix.
 
 use crate::dict::Dictionary;
-use crate::term::Term;
+use crate::term::{Term, TermId};
 use crate::triple::Triple;
 
 /// Parse error with line context.
@@ -56,15 +56,24 @@ pub fn write_term(t: &Term) -> String {
 }
 
 /// Serialize decoded triples as N-Triples text.
+///
+/// # Errors
+/// An [`NtError`] naming the output line (1-based) of the first triple
+/// holding an id the dictionary cannot decode.
 pub fn write_ntriples<'a>(
     triples: impl IntoIterator<Item = &'a Triple>,
     dict: &Dictionary,
-) -> String {
+) -> Result<String, NtError> {
     let mut out = String::new();
-    for t in triples {
-        let s = dict.decode(t.s).expect("subject in dictionary");
-        let p = dict.decode(t.p).expect("predicate in dictionary");
-        let o = dict.decode(t.o).expect("object in dictionary");
+    for (i, t) in triples.into_iter().enumerate() {
+        let decode = |id: TermId, what: &str| {
+            dict.decode(id).ok_or_else(|| NtError {
+                line: i + 1,
+                message: format!("{what} id {} is not in the dictionary", id.raw()),
+            })
+        };
+        let (s, p, o) =
+            (decode(t.s, "subject")?, decode(t.p, "predicate")?, decode(t.o, "object")?);
         out.push_str(&write_term(&s));
         out.push(' ');
         out.push_str(&write_term(&p));
@@ -72,7 +81,7 @@ pub fn write_ntriples<'a>(
         out.push_str(&write_term(&o));
         out.push_str(" .\n");
     }
-    out
+    Ok(out)
 }
 
 struct Cursor<'a> {
@@ -257,9 +266,19 @@ mod tests {
         let dict = Dictionary::new();
         let text = "<a> <b> <c> .\n<a> <n> \"42\"^^<http://www.w3.org/2001/XMLSchema#integer> .\n";
         let triples = parse_ntriples(text, &dict).unwrap();
-        let written = write_ntriples(&triples, &dict);
+        let written = write_ntriples(&triples, &dict).unwrap();
         let reparsed = parse_ntriples(&written, &dict).unwrap();
         assert_eq!(triples, reparsed);
+    }
+
+    #[test]
+    fn writing_an_unknown_id_is_an_error() {
+        let dict = Dictionary::new();
+        let mut triples = parse_ntriples("<a> <b> <c> .\n<a> <b> <d> .", &dict).unwrap();
+        triples[1].o = TermId(u64::MAX);
+        let err = write_ntriples(&triples, &dict).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("object"), "{err}");
     }
 
     #[test]

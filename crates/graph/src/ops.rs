@@ -5,12 +5,46 @@
 //! those operations, executed per rank on local solution sets. Cross-rank
 //! movement is the engine's job (ids-core); everything here is pure.
 
-use crate::batch::SolutionBatch;
+use crate::batch::{Column, SolutionBatch};
 use crate::solution::SolutionSet;
 use crate::store::TriplePattern;
 use crate::term::TermId;
 use crate::triple::Triple;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::sync::Arc;
+
+/// Why a batch operator refused its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OpError {
+    /// A column the operator reads has an unbound cell; joins and
+    /// exchanges run on fully bound solutions only.
+    NullBinding { var: String },
+    /// Batches that must share a schema do not.
+    SchemaMismatch { left: Vec<String>, right: Vec<String> },
+    /// An operator that needs at least one input got none.
+    NoInput,
+    /// A scatter routed a row to a part that does not exist.
+    PartOutOfRange { part: usize, parts: usize },
+}
+
+impl std::fmt::Display for OpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OpError::NullBinding { var } => write!(f, "unbound ?{var} in a fully bound operator"),
+            OpError::SchemaMismatch { left, right } => {
+                write!(f, "schemas differ: {left:?} vs {right:?}")
+            }
+            OpError::NoInput => write!(f, "operator needs at least one input"),
+            OpError::PartOutOfRange { part, parts } => {
+                write!(f, "row routed to part {part} of {parts}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for OpError {}
 
 /// Bind a scanned pattern's wildcards to variables, producing solutions.
 ///
@@ -58,44 +92,6 @@ pub fn scan_to_solutions(
     out
 }
 
-/// Columnar twin of [`scan_to_solutions`]: bind wildcards directly into a
-/// [`SolutionBatch`], producing the same rows in the same order.
-///
-/// # Panics
-/// Panics if a variable is supplied for a bound position.
-pub fn scan_to_batch(
-    pattern: &TriplePattern,
-    var_s: Option<&str>,
-    var_p: Option<&str>,
-    var_o: Option<&str>,
-    triples: &[Triple],
-) -> SolutionBatch {
-    assert!(!(pattern.s.is_some() && var_s.is_some()), "subject is bound; no variable allowed");
-    assert!(!(pattern.p.is_some() && var_p.is_some()), "predicate is bound; no variable allowed");
-    assert!(!(pattern.o.is_some() && var_o.is_some()), "object is bound; no variable allowed");
-    let mut vars = Vec::new();
-    for v in [var_s, var_p, var_o].into_iter().flatten() {
-        vars.push(v.to_string());
-    }
-    let mut out = SolutionBatch::empty(vars);
-    let mut row: Vec<TermId> = Vec::with_capacity(3);
-    for t in triples {
-        debug_assert!(pattern.matches(t));
-        row.clear();
-        if var_s.is_some() {
-            row.push(t.s);
-        }
-        if var_p.is_some() {
-            row.push(t.p);
-        }
-        if var_o.is_some() {
-            row.push(t.o);
-        }
-        out.push_row(&row);
-    }
-    out
-}
-
 /// Hash join on all shared variables. The output schema is the left schema
 /// followed by the right's non-shared variables, matching SPARQL BGP
 /// semantics. If there are no shared variables this is a cross product.
@@ -134,73 +130,235 @@ pub fn hash_join(left: &SolutionSet, right: &SolutionSet) -> SolutionSet {
     out
 }
 
-/// Columnar twin of [`hash_join`]: identical join semantics and output row
-/// order (build on the right side in insertion order, probe left rows in
-/// order), so a batch execution stays byte-identical to a row execution.
-pub fn hash_join_batch(left: &SolutionBatch, right: &SolutionBatch) -> SolutionBatch {
-    let shared: Vec<(usize, usize)> = left
-        .vars()
-        .iter()
-        .enumerate()
-        .filter_map(|(li, v)| right.var_index(v).map(|ri| (li, ri)))
-        .collect();
-    let right_extra: Vec<usize> =
-        (0..right.vars().len()).filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri)).collect();
+/// Multiplicative hasher for term-id join keys. The keys are dense ids the
+/// dictionary assigns, never raw outside input, so one multiply mixes them
+/// well enough at a fraction of SipHash's cost. Join output order never
+/// depends on it (the table is only probed).
+#[derive(Default)]
+struct IdHasher(u64);
 
-    let mut vars: Vec<String> = left.vars().to_vec();
-    vars.extend(right_extra.iter().map(|&ri| right.vars()[ri].clone()));
-    let mut out = SolutionBatch::empty(vars);
-
-    let mut table: HashMap<Vec<TermId>, Vec<usize>> = HashMap::new();
-    for idx in 0..right.len() {
-        let key: Vec<TermId> = shared
-            .iter()
-            .map(|&(_, ri)| right.get(idx, ri).expect("join input is fully bound"))
-            .collect();
-        table.entry(key).or_default().push(idx);
-    }
-
-    let mut row: Vec<TermId> = Vec::with_capacity(out.vars().len());
-    let mut lrow: Vec<TermId> = Vec::with_capacity(left.vars().len());
-    for li in 0..left.len() {
-        left.copy_row(li, &mut lrow);
-        let key: Vec<TermId> = shared.iter().map(|&(i, _)| lrow[i]).collect();
-        if let Some(matches) = table.get(&key) {
-            for &ridx in matches {
-                row.clear();
-                row.extend_from_slice(&lrow);
-                row.extend(
-                    right_extra
-                        .iter()
-                        .map(|&ri| right.get(ridx, ri).expect("join input is fully bound")),
-                );
-                out.push_row(&row);
-            }
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `[u64]` keys arrive here as one byte slice: mix a word at a time.
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(w);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
         }
     }
-    out
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K> = HashMap<K, usize, BuildHasherDefault<IdHasher>>;
+
+/// End of a key chain in [`KeyChains`].
+const CHAIN_END: usize = usize::MAX;
+
+/// The build side of a hash join: for each distinct key, the first row
+/// holding it, and for each row the next row with the same key — so a
+/// probe walks its matches in insertion order without a `Vec` per key.
+struct KeyChains<K> {
+    head: IdMap<K>,
+    next: Vec<usize>,
+}
+
+impl<K: Hash + Eq> KeyChains<K> {
+    fn build(rows: usize, mut key: impl FnMut(usize) -> K) -> Self {
+        let mut head = IdMap::with_capacity_and_hasher(rows, Default::default());
+        let mut next = vec![CHAIN_END; rows];
+        // Insert back to front so each chain runs in ascending row order.
+        for idx in (0..rows).rev() {
+            match head.entry(key(idx)) {
+                Entry::Occupied(mut e) => next[idx] = e.insert(idx),
+                Entry::Vacant(e) => {
+                    e.insert(idx);
+                }
+            }
+        }
+        Self { head, next }
+    }
+
+    fn matches<Q>(&self, key: &Q, mut each: impl FnMut(usize))
+    where
+        K: std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut at = self.head.get(key).copied().unwrap_or(CHAIN_END);
+        while at != CHAIN_END {
+            each(at);
+            at = self.next[at];
+        }
+    }
+}
+
+/// The shape of a batch hash join, computed once from the two schemas and
+/// reused for every rank's join: the shared-variable column pairs, the
+/// right side's extra columns, and the output schema.
+#[derive(Debug, Clone)]
+pub struct JoinSpec {
+    left_vars: Vec<String>,
+    right_vars: Vec<String>,
+    shared: Vec<(usize, usize)>,
+    right_extra: Vec<usize>,
+    schema: Arc<[String]>,
+}
+
+impl JoinSpec {
+    /// Plan a join of batches with schemas `left` and `right`.
+    pub fn new(left: &[String], right: &[String]) -> Self {
+        let shared: Vec<(usize, usize)> = left
+            .iter()
+            .enumerate()
+            .filter_map(|(li, v)| right.iter().position(|r| r == v).map(|ri| (li, ri)))
+            .collect();
+        let right_extra: Vec<usize> =
+            (0..right.len()).filter(|ri| !shared.iter().any(|&(_, sri)| sri == *ri)).collect();
+        let mut vars: Vec<String> = left.to_vec();
+        vars.extend(right_extra.iter().map(|&ri| right[ri].clone()));
+        Self {
+            left_vars: left.to_vec(),
+            right_vars: right.to_vec(),
+            shared,
+            right_extra,
+            schema: vars.into(),
+        }
+    }
+
+    /// The output schema: the left variables, then the right side's
+    /// non-shared ones.
+    pub fn schema(&self) -> &Arc<[String]> {
+        &self.schema
+    }
+
+    /// Join `left` with `right` — same rows, order and column widths as
+    /// [`hash_join`] over the equivalent row sets: build on the right side
+    /// in insertion order, probe left rows in order. An empty side returns
+    /// an empty batch at once, without building a table.
+    ///
+    /// # Errors
+    /// [`OpError::SchemaMismatch`] when an input's schema is not the one
+    /// this spec was planned for; [`OpError::NullBinding`] when an input
+    /// has an unbound cell.
+    pub fn join(
+        &self,
+        left: &SolutionBatch,
+        right: &SolutionBatch,
+    ) -> Result<SolutionBatch, OpError> {
+        for (batch, vars) in [(left, &self.left_vars), (right, &self.right_vars)] {
+            if batch.vars() != vars.as_slice() {
+                return Err(OpError::SchemaMismatch {
+                    left: vars.clone(),
+                    right: batch.vars().to_vec(),
+                });
+            }
+            batch.check_bound()?;
+        }
+        if left.is_empty() || right.is_empty() {
+            return Ok(SolutionBatch::empty(Arc::clone(&self.schema)));
+        }
+        let mut lidx: Vec<usize> = Vec::new();
+        let mut ridx: Vec<usize> = Vec::new();
+        let mut pair = |l: usize, r: usize| {
+            lidx.push(l);
+            ridx.push(r);
+        };
+        match self.shared.as_slice() {
+            // No shared variables: cross product.
+            [] => {
+                for l in 0..left.len() {
+                    for r in 0..right.len() {
+                        pair(l, r);
+                    }
+                }
+            }
+            // One shared variable: the key is the raw id itself.
+            &[(lc, rc)] => {
+                let (lk, rk) = (left.column(lc), right.column(rc));
+                let table = KeyChains::build(right.len(), |r| rk.get(r));
+                for l in 0..left.len() {
+                    table.matches(&lk.get(l), |r| pair(l, r));
+                }
+            }
+            shared => {
+                let lcols: Vec<&Column> = shared.iter().map(|&(lc, _)| left.column(lc)).collect();
+                let rcols: Vec<&Column> = shared.iter().map(|&(_, rc)| right.column(rc)).collect();
+                let table = KeyChains::build(right.len(), |r| {
+                    rcols.iter().map(|c| c.get(r)).collect::<Vec<u64>>()
+                });
+                let mut key: Vec<u64> = Vec::with_capacity(lcols.len());
+                for l in 0..left.len() {
+                    key.clear();
+                    key.extend(lcols.iter().map(|c| c.get(l)));
+                    table.matches(key.as_slice(), |r| pair(l, r));
+                }
+            }
+        }
+        let left_cols = (0..left.vars().len()).map(|c| left.column(c).gather(&lidx));
+        let right_cols = self.right_extra.iter().map(|&c| right.column(c).gather(&ridx));
+        let cols = left_cols.chain(right_cols);
+        Ok(SolutionBatch::from_columns(Arc::clone(&self.schema), lidx.len(), cols))
+    }
+}
+
+/// Columnar twin of [`hash_join`]: identical join semantics, output row
+/// order and column widths, so a batch execution stays byte-identical to
+/// a row execution. Plans a [`JoinSpec`] per call; callers joining many
+/// batch pairs of one shape plan it once instead.
+///
+/// # Errors
+/// [`OpError::NullBinding`] when an input has an unbound cell.
+pub fn hash_join_batch(
+    left: &SolutionBatch,
+    right: &SolutionBatch,
+) -> Result<SolutionBatch, OpError> {
+    JoinSpec::new(left.vars(), right.vars()).join(left, right)
 }
 
 /// Union of solution sets with identical schemas ("merge" in CGE terms).
+/// Merging no sets gives the empty set over no variables.
 ///
 /// # Panics
 /// Panics if schemas differ.
 pub fn merge(sets: Vec<SolutionSet>) -> SolutionSet {
     let mut it = sets.into_iter();
-    let mut first = it.next().expect("merge needs at least one input");
+    let Some(mut first) = it.next() else {
+        return SolutionSet::empty(Vec::new());
+    };
     for s in it {
         first.append(s);
     }
     first
 }
 
-/// Columnar twin of [`merge`]: concatenate batches in order.
+/// Columnar twin of [`merge`]: concatenate batches in order. Merging no
+/// batches gives the empty batch over no variables.
 ///
 /// # Panics
-/// Panics if schemas differ or the input is empty.
+/// Panics if schemas differ.
 pub fn merge_batches(batches: Vec<SolutionBatch>) -> SolutionBatch {
+    let total: usize = batches.iter().map(SolutionBatch::len).sum();
     let mut it = batches.into_iter();
-    let mut first = it.next().expect("merge needs at least one input");
+    let Some(mut first) = it.next() else {
+        return SolutionBatch::empty(Vec::<String>::new());
+    };
+    first.reserve(total - first.len());
     for b in it {
         first.append(b);
     }
@@ -346,10 +504,15 @@ mod tests {
     #[test]
     fn batch_scan_matches_row_scan() {
         let pat = TriplePattern::new(None, Some(id(9)), None);
-        let triples = vec![t(1, 9, 11), t(2, 9, 12), t(3, 9, 13)];
-        let rowwise = scan_to_solutions(&pat, Some("s"), None, Some("o"), &triples);
-        let batch = scan_to_batch(&pat, Some("s"), None, Some("o"), &triples);
+        let mut store = crate::PartitionedStore::new(1);
+        store.insert_all([t(1, 9, 11), t(2, 9, 12), t(3, 9, 13), t(4, 8, 14)]);
+        store.build_indexes();
+        let rowwise =
+            scan_to_solutions(&pat, Some("s"), None, Some("o"), &store.scan_shard(0, &pat));
+        let spec = crate::ScanSpec::new(pat, Some("s"), None, Some("o"));
+        let batch = store.scan_shard_batch(0, &spec);
         assert_eq!(batch.to_set(), rowwise);
+        assert_eq!(batch.len(), 3);
     }
 
     #[test]
@@ -369,7 +532,8 @@ mod tests {
         );
         let rowwise = hash_join(&left, &right);
         let batch =
-            hash_join_batch(&SolutionBatch::from_set(&left), &SolutionBatch::from_set(&right));
+            hash_join_batch(&SolutionBatch::from_set(&left), &SolutionBatch::from_set(&right))
+                .unwrap();
         // Same schema, same rows, same order — byte-identical.
         assert_eq!(batch.to_set(), rowwise);
     }
@@ -381,8 +545,44 @@ mod tests {
             SolutionSet::new(vec!["b".into()], vec![vec![id(10)], vec![id(20)], vec![id(30)]]);
         let rowwise = hash_join(&left, &right);
         let batch =
-            hash_join_batch(&SolutionBatch::from_set(&left), &SolutionBatch::from_set(&right));
+            hash_join_batch(&SolutionBatch::from_set(&left), &SolutionBatch::from_set(&right))
+                .unwrap();
         assert_eq!(batch.to_set(), rowwise);
+    }
+
+    #[test]
+    fn batch_join_with_an_empty_side_keeps_the_joined_schema() {
+        let full = SolutionBatch::from_set(&SolutionSet::new(
+            vec!["a".into(), "b".into()],
+            vec![vec![id(1), id(2)]],
+        ));
+        let empty = SolutionBatch::empty(vec!["b".to_string(), "c".to_string()]);
+        let spec = JoinSpec::new(full.vars(), empty.vars());
+        let out = spec.join(&full, &empty).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(out.vars(), &["a".to_string(), "b".to_string(), "c".to_string()]);
+        let flipped = hash_join_batch(&empty, &full).unwrap();
+        assert_eq!(flipped.vars(), &["b".to_string(), "c".to_string(), "a".to_string()]);
+    }
+
+    #[test]
+    fn batch_join_refuses_nulls_and_foreign_schemas() {
+        let mut left = SolutionBatch::empty(vec!["k".to_string()]);
+        left.push_opt_row(&[None]);
+        let right = SolutionBatch::from_set(&SolutionSet::new(vec!["k".into()], vec![vec![id(1)]]));
+        assert_eq!(
+            hash_join_batch(&left, &right),
+            Err(OpError::NullBinding { var: "k".to_string() })
+        );
+        let spec = JoinSpec::new(&["x".to_string()], right.vars());
+        assert!(matches!(spec.join(&right, &right), Err(OpError::SchemaMismatch { .. })));
+    }
+
+    #[test]
+    fn merging_nothing_is_empty() {
+        assert!(merge(Vec::new()).is_empty());
+        let b = merge_batches(Vec::new());
+        assert!(b.is_empty() && b.vars().is_empty());
     }
 
     #[test]

@@ -4,13 +4,16 @@
 //! subject id, as CGE shards its graph. Each shard keeps three sorted
 //! indexes (SPO, POS, OSP) so any triple pattern scans in
 //! O(log n + answers): subject-bound lookups use SPO, predicate scans use
-//! POS, object lookups use OSP. Index builds are parallel (rayon) and
-//! ingest is buffered, mirroring CGE's bulk-load-then-query lifecycle.
+//! POS (through a small per-shard predicate directory), object lookups
+//! use OSP. Index builds are parallel (rayon) and ingest is buffered,
+//! mirroring CGE's bulk-load-then-query lifecycle.
 
+use crate::batch::{Column, SolutionBatch};
 use crate::term::TermId;
 use crate::triple::Triple;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A triple pattern: `None` positions are wildcards ("variables").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -35,12 +38,84 @@ impl TriplePattern {
     }
 }
 
+/// A triple position a scan binds to a variable.
+#[derive(Debug, Clone, Copy)]
+enum Position {
+    S,
+    P,
+    O,
+}
+
+impl Position {
+    #[inline]
+    fn of(self, t: &Triple) -> TermId {
+        match self {
+            Position::S => t.s,
+            Position::P => t.p,
+            Position::O => t.o,
+        }
+    }
+}
+
+/// A pattern scan that binds the pattern's wildcards to variables: the
+/// output schema (built once, shared by every shard's batch) and which
+/// triple position fills each column.
+#[derive(Debug, Clone)]
+pub struct ScanSpec {
+    pattern: TriplePattern,
+    bind: Vec<Position>,
+    schema: Arc<[String]>,
+}
+
+impl ScanSpec {
+    /// Bind `var_s` / `var_p` / `var_o` (`None` for no column) in that
+    /// column order.
+    ///
+    /// # Panics
+    /// Panics if a variable is supplied for a position the pattern binds.
+    pub fn new(
+        pattern: TriplePattern,
+        var_s: Option<&str>,
+        var_p: Option<&str>,
+        var_o: Option<&str>,
+    ) -> Self {
+        assert!(!(pattern.s.is_some() && var_s.is_some()), "subject is bound; no variable allowed");
+        assert!(
+            !(pattern.p.is_some() && var_p.is_some()),
+            "predicate is bound; no variable allowed"
+        );
+        assert!(!(pattern.o.is_some() && var_o.is_some()), "object is bound; no variable allowed");
+        let mut bind = Vec::new();
+        let mut vars = Vec::new();
+        for (pos, var) in [(Position::S, var_s), (Position::P, var_p), (Position::O, var_o)] {
+            if let Some(v) = var {
+                bind.push(pos);
+                vars.push(v.to_string());
+            }
+        }
+        Self { pattern, bind, schema: vars.into() }
+    }
+}
+
+/// The sub-slice of `index` (sorted by `key`) whose keys equal `k`.
+#[inline]
+fn equal_range<K: Ord>(index: &[Triple], key: impl Fn(&Triple) -> K, k: K) -> &[Triple] {
+    let lo = index.partition_point(|t| key(t) < k);
+    let len = index[lo..].partition_point(|t| key(t) <= k);
+    &index[lo..lo + len]
+}
+
 /// One rank's shard: the same triples in three sort orders.
 #[derive(Debug, Default)]
 struct Shard {
     spo: Vec<Triple>,
     pos: Vec<Triple>,
     osp: Vec<Triple>,
+    /// Predicate directory over POS: each distinct predicate with the
+    /// offset its run starts at, ascending. A few dozen entries per shard,
+    /// so a predicate-led lookup touches this small array instead of
+    /// binary-searching the (cold) POS index.
+    preds: Vec<(TermId, usize)>,
     pending: Vec<Triple>,
 }
 
@@ -57,71 +132,57 @@ impl Shard {
         if self.pending.is_empty() {
             return;
         }
-        self.spo.append(&mut self.pending.clone());
-        self.pos.append(&mut self.pending.clone());
-        self.osp.append(&mut self.pending);
+        // Take the buffer so its allocation is freed here rather than kept
+        // (empty) for the store's lifetime: the next shard's indexes reuse
+        // it, which keeps ingest's peak footprint at about the indexes'.
+        let pending = std::mem::take(&mut self.pending);
+        self.spo.extend_from_slice(&pending);
+        self.pos.extend_from_slice(&pending);
+        self.osp.extend(pending);
         self.spo.sort_unstable();
         self.spo.dedup();
         self.pos.sort_unstable_by_key(pos_key);
         self.pos.dedup();
         self.osp.sort_unstable_by_key(osp_key);
         self.osp.dedup();
-    }
-
-    fn scan(&self, pat: &TriplePattern) -> Vec<Triple> {
-        debug_assert!(self.pending.is_empty(), "scan before build_indexes()");
-        match (pat.s, pat.p, pat.o) {
-            // Subject bound: SPO prefix range.
-            (Some(s), _, _) => {
-                let lo = self.spo.partition_point(|t| t.s < s);
-                self.spo[lo..]
-                    .iter()
-                    .take_while(|t| t.s == s)
-                    .filter(|t| pat.matches(t))
-                    .copied()
-                    .collect()
+        self.preds.clear();
+        for (i, t) in self.pos.iter().enumerate() {
+            if self.preds.last().is_none_or(|&(p, _)| p != t.p) {
+                self.preds.push((t.p, i));
             }
-            // Predicate bound: POS prefix range.
-            (None, Some(p), o) => {
-                let lo = self.pos.partition_point(|t| t.p < p);
-                self.pos[lo..]
-                    .iter()
-                    .take_while(|t| t.p == p)
-                    .filter(|t| o.is_none_or(|o| o == t.o))
-                    .copied()
-                    .collect()
-            }
-            // Object bound only: OSP prefix range.
-            (None, None, Some(o)) => {
-                let lo = self.osp.partition_point(|t| t.o < o);
-                self.osp[lo..].iter().take_while(|t| t.o == o).copied().collect()
-            }
-            // Fully unbound: full scan.
-            (None, None, None) => self.spo.clone(),
         }
     }
 
-    fn count(&self, pat: &TriplePattern) -> usize {
-        // Same ranges as scan, but without materializing (used by the
-        // planner for cardinality estimates).
+    /// The POS run of predicate `p`, found through the directory.
+    fn predicate_run(&self, p: TermId) -> &[Triple] {
+        let i = self.preds.partition_point(|&(q, _)| q < p);
+        match self.preds.get(i) {
+            Some(&(q, start)) if q == p => {
+                let end = self.preds.get(i + 1).map_or(self.pos.len(), |&(_, e)| e);
+                &self.pos[start..end]
+            }
+            _ => &[],
+        }
+    }
+
+    /// The contiguous index range holding exactly the pattern's matches.
+    /// Every bound/unbound shape has an index sorted with its bound
+    /// positions as a prefix, so no match needs filtering: subject-led
+    /// shapes seek SPO, predicate-led ones POS (`(p,o)` seeks the full
+    /// pair), object-led ones OSP (`(s,o)` seeks `(o,s)`, which lists a
+    /// subject's facts in the same predicate order SPO does). Predicate
+    /// runs come from the directory.
+    fn matches(&self, pat: &TriplePattern) -> &[Triple] {
+        debug_assert!(self.pending.is_empty(), "scan before build_indexes()");
         match (pat.s, pat.p, pat.o) {
-            (Some(s), _, _) => {
-                let lo = self.spo.partition_point(|t| t.s < s);
-                self.spo[lo..].iter().take_while(|t| t.s == s).filter(|t| pat.matches(t)).count()
-            }
-            (None, Some(p), o) => {
-                let lo = self.pos.partition_point(|t| t.p < p);
-                self.pos[lo..]
-                    .iter()
-                    .take_while(|t| t.p == p)
-                    .filter(|t| o.is_none_or(|ov| ov == t.o))
-                    .count()
-            }
-            (None, None, Some(o)) => {
-                let lo = self.osp.partition_point(|t| t.o < o);
-                self.osp[lo..].iter().take_while(|t| t.o == o).count()
-            }
-            (None, None, None) => self.spo.len(),
+            (Some(s), None, None) => equal_range(&self.spo, |t| t.s, s),
+            (Some(s), Some(p), None) => equal_range(&self.spo, |t| (t.s, t.p), (s, p)),
+            (Some(s), Some(p), Some(o)) => equal_range(&self.spo, |t| (t.s, t.p, t.o), (s, p, o)),
+            (Some(s), None, Some(o)) => equal_range(&self.osp, |t| (t.o, t.s), (o, s)),
+            (None, Some(p), None) => self.predicate_run(p),
+            (None, Some(p), Some(o)) => equal_range(self.predicate_run(p), |t| t.o, o),
+            (None, None, Some(o)) => equal_range(&self.osp, |t| t.o, o),
+            (None, None, None) => &self.spo,
         }
     }
 }
@@ -206,12 +267,24 @@ impl PartitionedStore {
 
     /// Scan one shard for a pattern. Ranks call this on their own shard.
     pub fn scan_shard(&self, shard: usize, pat: &TriplePattern) -> Vec<Triple> {
-        self.shards[shard].scan(pat)
+        self.shards[shard].matches(pat).to_vec()
+    }
+
+    /// Scan one shard straight into a columnar batch: each bound column is
+    /// filled from the index range at its exact length, in the row order
+    /// of [`Self::scan_shard`], at the width pushing the rows would give.
+    pub fn scan_shard_batch(&self, shard: usize, spec: &ScanSpec) -> SolutionBatch {
+        let range = self.shards[shard].matches(&spec.pattern);
+        let cols = spec
+            .bind
+            .iter()
+            .map(|&pos| Column::collect(range.iter().map(|t| pos.of(t).raw()), range.len()));
+        SolutionBatch::from_columns(Arc::clone(&spec.schema), range.len(), cols)
     }
 
     /// Count matches in one shard without materializing.
     pub fn count_shard(&self, shard: usize, pat: &TriplePattern) -> usize {
-        self.shards[shard].count(pat)
+        self.shards[shard].matches(pat).len()
     }
 
     /// Scan every shard (single-node convenience / tests).
@@ -219,9 +292,9 @@ impl PartitionedStore {
         (0..self.shards.len()).flat_map(|i| self.scan_shard(i, pat)).collect()
     }
 
-    /// Global match count for a pattern.
+    /// Global match count for a pattern, saturating at `usize::MAX`.
     pub fn count_all(&self, pat: &TriplePattern) -> usize {
-        self.shards.iter().map(|s| s.count(pat)).sum()
+        self.shards.iter().map(|s| s.matches(pat).len()).fold(0, usize::saturating_add)
     }
 
     /// Total triples stored.

@@ -7,7 +7,6 @@
 //! data needed to regenerate those breakdowns.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Summary statistics over a set of per-rank values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,26 +49,33 @@ impl StatSummary {
 
 /// Counters a rank accumulates during a phase (solutions scanned, UDF calls,
 /// bytes exchanged, …), keyed by a static label.
+///
+/// A phase bumps one or two labels per rank, so the counters are a short
+/// list in first-touch order: a linear scan beats hashing, and a rank
+/// that counts nothing allocates nothing.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct RankStats {
-    counters: HashMap<&'static str, u64>,
+    counters: Vec<(&'static str, u64)>,
 }
 
 impl RankStats {
     /// Add `n` to the counter `name`.
     #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        match self.counters.iter_mut().find(|(k, _)| *k == name) {
+            Some((_, v)) => *v += n,
+            None => self.counters.push((name, n)),
+        }
     }
 
     /// Read a counter (0 if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters.iter().find(|(k, _)| *k == name).map_or(0, |&(_, v)| v)
     }
 
     /// Iterate over all counters.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.iter().copied()
     }
 
     /// Merge another rank's counters into this one (for aggregation).
