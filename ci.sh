@@ -15,7 +15,7 @@ if grep -rnE 'partial_cmp\([^)]*\)[[:space:]]*\.unwrap' \
   exit 1
 fi
 
-echo "==> lint: no bare unwrap/expect in core, cache & graph non-test code"
+echo "==> lint: no bare unwrap/expect in core, cache, graph & udf non-test code"
 # The engine and cache hot paths must degrade to typed errors, never
 # panic (see DESIGN.md 5i): a panic in one rank's stage closure would
 # poison the whole simulated cluster. Test modules (below #[cfg(test)])
@@ -26,10 +26,10 @@ if awk '
   !in_tests && (/\.unwrap\(\)/ || /\.expect\(/) { print FILENAME ":" FNR ": " $0; bad = 1 }
   END { exit bad }
 ' crates/core/src/*.rs crates/core/src/iql/*.rs crates/cache/src/*.rs \
-    crates/graph/src/*.rs; then
+    crates/graph/src/*.rs crates/udf/src/*.rs; then
   :
 else
-  echo "error: bare unwrap()/expect( in non-test core/cache/graph code — return a typed error instead" >&2
+  echo "error: bare unwrap()/expect( in non-test core/cache/graph/udf code — return a typed error instead" >&2
   exit 1
 fi
 

@@ -22,14 +22,16 @@ use crate::datastore::Datastore;
 use crate::planner::{PhysicalPattern, PhysicalPlan, PhysicalStage};
 use ids_cache::{CacheManager, IntermediateSolutions, TypedSolutionSet};
 use ids_graph::ops as gops;
-use ids_graph::{BatchChannel, Routing, ScanSpec, SolutionBatch, SolutionSet, TermId};
+use ids_graph::{
+    BatchChannel, Dictionary, Routing, ScanSpec, SolutionBatch, SolutionSet, Term, TermId,
+};
 use ids_obs::MetricsRegistry;
 use ids_simrt::rng::{fnv1a, hash_combine};
 use ids_simrt::{Cluster, ExchangeCost, RankId, SpeculationPolicy, SpeculationReport};
 use ids_udf::expr::EvalCtx;
 use ids_udf::{
     order_conjuncts, plan_count_based, plan_throughput_based, Expr, RebalancePlan, UdfProfiler,
-    UdfRegistry,
+    UdfRegistry, UdfValue,
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -109,21 +111,19 @@ pub struct ExecOptions {
     /// reported as [`ErrorAnnotation`]s on the outcome instead of failing
     /// the whole query. Default `false` (fail fast).
     pub degrade: bool,
-    /// Columnar batch execution (default `true`): joins and FILTER/APPLY
-    /// stages process solutions in batches of [`Self::batch_rows`],
-    /// charging one [`Self::batch_dispatch_secs`] per batch and an
-    /// amortized per-row overhead instead of the row engine's full per-row
-    /// dispatch cost. Data semantics are identical in both modes — only
-    /// the virtual-time cost model differs — so results are byte-identical
-    /// (`false` is the ablation baseline).
-    pub columnar: bool,
-    /// Rows per batch in columnar mode.
+    /// Rows per batch: joins and FILTER/APPLY stages process solutions in
+    /// batches of this many rows, charging one [`Self::batch_dispatch_secs`]
+    /// per batch plus an amortized per-row overhead. The three price
+    /// fields below are the whole cost model: `batch_dispatch_secs = 0.0`
+    /// with both amortizations at `1.0` prices every row at the full
+    /// row-at-a-time cost (the X7 ablation baseline). Prices never touch
+    /// the data plane, so results are byte-identical under any of them.
     pub batch_rows: usize,
     /// Virtual cost of dispatching one batch through an operator
     /// (registry/expression setup paid once per batch, not per row).
     pub batch_dispatch_secs: f64,
     /// How much of [`Self::eval_secs_per_row`] batching amortizes away:
-    /// per-row eval overhead in columnar mode is `eval_secs_per_row /
+    /// the per-row eval overhead is `eval_secs_per_row /
     /// columnar_eval_amortization`. UDF virtual costs are never amortized
     /// — the model's work is the same either way.
     pub columnar_eval_amortization: f64,
@@ -135,9 +135,9 @@ pub struct ExecOptions {
     /// repartitioned batches through per-(src,dst) channels costed by
     /// `Cluster::streamed_exchange_cost` — a receiver starts when its
     /// *first* inbound batch lands and finishes no earlier than its last,
-    /// instead of the whole world syncing to the slowest rank. Like
-    /// [`Self::columnar`] this selects only a virtual-time cost model; the
-    /// data plane is identical, so results are byte-identical across modes.
+    /// instead of the whole world syncing to the slowest rank. This
+    /// selects only a virtual-time cost model; the data plane is
+    /// identical, so results are byte-identical across modes.
     pub pipelined: bool,
     /// Target wire bytes per streamed exchange batch (pipelined mode).
     pub exchange_batch_bytes: u64,
@@ -200,7 +200,6 @@ impl Default for ExecOptions {
             row_retries: 2,
             retry_backoff_secs: 1.0e-3,
             degrade: false,
-            columnar: true,
             batch_rows: 1024,
             batch_dispatch_secs: 5.0e-7,
             columnar_eval_amortization: 8.0,
@@ -1164,17 +1163,8 @@ impl PlanRun {
                 ),
             });
         }
-        let mut sets = Vec::with_capacity(ranks);
-        let mut rowbuf: Vec<TermId> = Vec::new();
-        for ts in obj.sets {
-            let mut batch = SolutionBatch::empty(ts.vars.clone());
-            for row in &ts.rows {
-                rowbuf.clear();
-                rowbuf.extend(row.iter().copied().map(TermId));
-                batch.push_row(&rowbuf);
-            }
-            sets.push(batch);
-        }
+        let sets: Vec<SolutionBatch> =
+            obj.sets.into_iter().map(|ts| batch_from_rows(ts.vars, &ts.rows)).collect();
         let rows: u64 = sets.iter().map(|s| s.len() as u64).sum();
         self.recovery.rows_restored += rows;
         metrics.counter("ids_recovery_rows_restored_total").add(rows);
@@ -1541,29 +1531,10 @@ impl PlanRun {
         metrics: &MetricsRegistry,
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
-        if let Some(filter) = &self.plan.where_filter {
-            let solutions = self.sets.take().unwrap_or_default();
-            let t = cluster.elapsed();
-            let filtered = run_filter_stage(
-                cluster,
-                ds,
-                registry,
-                profilers,
-                solutions,
-                filter,
-                &self.opts,
-                &mut self.breakdown,
-                "filter",
-                metrics,
-                &mut self.annotations,
-                &mut self.recovery,
-            )?;
-            let end = cluster.elapsed();
-            self.breakdown.filter_secs += end - t - take_rebalance_delta(&mut self.breakdown);
-            let kept: usize = filtered.iter().map(SolutionBatch::len).sum();
-            record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
-            anti_entropy_tick(cache, metrics, end);
-            self.sets = Some(filtered);
+        if let Some(filter) = self.plan.where_filter.clone() {
+            let stage = UdfStage::Filter(&filter);
+            let kept =
+                self.step_udf(stage, "filter", cluster, ds, registry, profilers, metrics, cache)?;
             let est_where = self.plan.est_where_rows;
             self.note_boundary("where".to_string(), est_where, kept as u64, metrics);
             self.maybe_store(1, cluster, metrics, cache);
@@ -1585,60 +1556,66 @@ impl PlanRun {
         cache: Option<&CacheManager>,
     ) -> Result<(), ExecError> {
         let stage = self.plan.stages[i].clone();
-        let solutions = self.sets.take().unwrap_or_default();
-        match &stage {
-            PhysicalStage::Filter(expr) => {
-                let t = cluster.elapsed();
-                let filtered = run_filter_stage(
-                    cluster,
-                    ds,
-                    registry,
-                    profilers,
-                    solutions,
-                    expr,
-                    &self.opts,
-                    &mut self.breakdown,
-                    "stage-filter",
-                    metrics,
-                    &mut self.annotations,
-                    &mut self.recovery,
-                )?;
-                let end = cluster.elapsed();
-                self.breakdown.filter_secs += end - t - take_rebalance_delta(&mut self.breakdown);
-                let kept: usize = filtered.iter().map(SolutionBatch::len).sum();
-                record_stage(metrics, "filter", t, end, format!("{kept} rows kept"));
-                anti_entropy_tick(cache, metrics, end);
-                self.sets = Some(filtered);
-            }
+        let (stage, phase_name) = match &stage {
+            PhysicalStage::Filter(expr) => (UdfStage::Filter(expr), "stage-filter".to_string()),
             PhysicalStage::Apply { udf, args, bind_as } => {
-                let t = cluster.elapsed();
-                let applied = run_apply_stage(
-                    cluster,
-                    ds,
-                    registry,
-                    profilers,
-                    solutions,
-                    udf,
-                    args,
-                    bind_as,
-                    &self.opts,
-                    &mut self.breakdown,
-                    metrics,
-                    &mut self.annotations,
-                    &mut self.recovery,
-                )?;
-                let end = cluster.elapsed();
-                let spent = end - t - take_rebalance_delta(&mut self.breakdown);
-                *self.breakdown.apply_secs.entry(udf.clone()).or_insert(0.0) += spent;
-                record_stage(metrics, "apply", t, end, udf.clone());
-                anti_entropy_tick(cache, metrics, end);
-                self.sets = Some(applied);
+                (UdfStage::Apply { udf, args, bind_as }, format!("apply:{udf}"))
             }
-        }
+        };
+        self.step_udf(stage, &phase_name, cluster, ds, registry, profilers, metrics, cache)?;
         self.maybe_store(stage_ordinal(i), cluster, metrics, cache);
         self.phase =
             if i + 1 < self.plan.stages.len() { RunPhase::Stage(i + 1) } else { RunPhase::Gather };
         Ok(())
+    }
+
+    /// Run one FILTER/APPLY stage over the current intermediate and book
+    /// its virtual time: the re-balance exchange to `rebalance_secs`, the
+    /// rest to the FILTER or per-UDF APPLY bucket. Returns the rows out.
+    #[allow(clippy::too_many_arguments)] // mirrors step()'s executor context
+    fn step_udf(
+        &mut self,
+        stage: UdfStage<'_>,
+        phase_name: &str,
+        cluster: &mut Cluster,
+        ds: &Datastore,
+        registry: &UdfRegistry,
+        profilers: &mut [UdfProfiler],
+        metrics: &MetricsRegistry,
+        cache: Option<&CacheManager>,
+    ) -> Result<usize, ExecError> {
+        let solutions = self.sets.take().unwrap_or_default();
+        let t = cluster.elapsed();
+        let (out, rebalance) = run_udf_stage(
+            cluster,
+            ds,
+            registry,
+            profilers,
+            solutions,
+            stage,
+            phase_name,
+            &self.opts,
+            metrics,
+            &mut self.annotations,
+            &mut self.recovery,
+        )?;
+        let end = cluster.elapsed();
+        self.breakdown.rebalance_secs += rebalance;
+        let spent = end - t - rebalance;
+        let rows: usize = out.iter().map(SolutionBatch::len).sum();
+        match stage {
+            UdfStage::Filter(_) => {
+                self.breakdown.filter_secs += spent;
+                record_stage(metrics, "filter", t, end, format!("{rows} rows kept"));
+            }
+            UdfStage::Apply { udf, .. } => {
+                *self.breakdown.apply_secs.entry(udf.to_string()).or_insert(0.0) += spent;
+                record_stage(metrics, "apply", t, end, udf.to_string());
+            }
+        }
+        anti_entropy_tick(cache, metrics, end);
+        self.sets = Some(out);
+        Ok(rows)
     }
 
     fn step_gather(
@@ -1785,21 +1762,24 @@ fn load_checkpoint(
     let canon_to_orig: HashMap<&str, &str> =
         cp.rename.iter().map(|(o, c)| (c.as_str(), o.as_str())).collect();
     let mut sets = Vec::with_capacity(obj.sets.len());
-    let mut rowbuf: Vec<TermId> = Vec::new();
     for ts in obj.sets {
-        let mut vars = Vec::with_capacity(ts.vars.len());
-        for v in &ts.vars {
-            vars.push((*canon_to_orig.get(v.as_str())?).to_string());
-        }
-        let mut batch = SolutionBatch::empty(vars);
-        for r in &ts.rows {
-            rowbuf.clear();
-            rowbuf.extend(r.iter().copied().map(TermId));
-            batch.push_row(&rowbuf);
-        }
-        sets.push(batch);
+        let vars: Option<Vec<String>> =
+            ts.vars.iter().map(|v| canon_to_orig.get(v.as_str()).map(|o| o.to_string())).collect();
+        sets.push(batch_from_rows(vars?, &ts.rows));
     }
     Some((sets, obj.pre_filter_counts))
+}
+
+/// Rebuild one rank's batch from checkpointed raw term-id rows.
+fn batch_from_rows(vars: Vec<String>, rows: &[Vec<u64>]) -> SolutionBatch {
+    let mut batch = SolutionBatch::empty(vars);
+    let mut rowbuf: Vec<TermId> = Vec::new();
+    for r in rows {
+        rowbuf.clear();
+        rowbuf.extend(r.iter().copied().map(TermId));
+        batch.push_row(&rowbuf);
+    }
+    batch
 }
 
 /// Execute a plan on the cluster. `profilers[r]` is rank r's UDF profile
@@ -1853,23 +1833,7 @@ fn compare_terms(a: Option<&ids_graph::Term>, b: Option<&ids_graph::Term>) -> st
     ka.cmp(&kb).then(va.total_cmp(&vb)).then(sa.cmp(&sb))
 }
 
-// Rebalance time is recorded inside run_*_stage via this side channel so the
-// caller can subtract it from the stage's own bucket.
-thread_local! {
-    static REBALANCE_DELTA: Cell<f64> = const { Cell::new(0.0) };
-}
-
-fn add_rebalance_delta(secs: f64) {
-    REBALANCE_DELTA.with(|c| c.set(c.get() + secs));
-}
-
-fn take_rebalance_delta(breakdown: &mut StageBreakdown) -> f64 {
-    let d = REBALANCE_DELTA.with(|c| c.replace(0.0));
-    breakdown.rebalance_secs += d;
-    d
-}
-
-/// Per-batch dispatch accounting for one operator in columnar mode:
+/// Per-batch dispatch accounting for one operator:
 /// charges `⌈rows / batch_rows⌉` dispatches plus the amortized per-row
 /// cost, and feeds the `ids_engine_batches_total` / `ids_engine_batch_rows`
 /// observability series. Returns the virtual seconds to charge.
@@ -2056,10 +2020,7 @@ fn distributed_join(
         None
     };
 
-    // Rank-local joins. The data plane is identical in both modes (the
-    // same batch hash-join); `opts.columnar` only selects the cost model —
-    // per-batch dispatch with an amortized per-row probe versus the legacy
-    // per-row charge.
+    // Rank-local joins: per-batch dispatch with an amortized per-row probe.
     let meter = BatchMeter::new(metrics, "join");
     let spec = gops::JoinSpec::new(&left_vars, &right_vars);
     let joined: Vec<Result<SolutionBatch, gops::OpError>> = cluster.execute("join", |ctx| {
@@ -2069,17 +2030,13 @@ fn distributed_join(
             _ => SolutionBatch::empty(Arc::clone(spec.schema())),
         };
         let rows = left.rows[r] + right.rows[r] + out.len();
-        if opts.columnar {
-            ctx.charge(columnar_cost(
-                rows,
-                opts.join_secs_per_row,
-                opts.columnar_join_amortization,
-                opts,
-                &meter,
-            ));
-        } else {
-            ctx.charge(rows as f64 * opts.join_secs_per_row);
-        }
+        ctx.charge(columnar_cost(
+            rows,
+            opts.join_secs_per_row,
+            opts.columnar_join_amortization,
+            opts,
+            &meter,
+        ));
         ctx.count("joined_rows", out.len() as u64);
         Ok(out)
     });
@@ -2253,12 +2210,13 @@ fn channel_send(chan: &mut BatchChannel, out: &mut SolutionBatch, batch: Solutio
 }
 
 /// Move rows between ranks to match a re-balancing plan (round-robin from
-/// surplus ranks to deficit ranks) and charge the exchange.
+/// surplus ranks to deficit ranks) and charge the exchange. Returns the
+/// moved rows and the exchange's virtual seconds.
 fn apply_rebalance_plan(
     cluster: &mut Cluster,
     mut solutions: Vec<SolutionBatch>,
     plan: &RebalancePlan,
-) -> Vec<SolutionBatch> {
+) -> (Vec<SolutionBatch>, f64) {
     let t0 = cluster.elapsed();
     let mut surplus: Vec<Vec<TermId>> = Vec::new();
     let mut moved_bytes = vec![0u64; solutions.len()];
@@ -2296,18 +2254,17 @@ fn apply_rebalance_plan(
         }
     }
     cluster.alltoallv_cost(&moved_bytes);
-    add_rebalance_delta(cluster.elapsed() - t0);
-    solutions
+    (solutions, cluster.elapsed() - t0)
 }
 
 /// Estimate each rank's throughput (solutions/second) through `expr` from
 /// its own profiling data — the per-rank estimates §2.4.2 exchanges.
 ///
-/// Deliberately **mode-independent**: it uses the nominal
-/// `eval_secs_per_row` in both row and columnar execution, so rebalance
+/// Deliberately **price-independent**: it uses the nominal
+/// `eval_secs_per_row`, not the batch-amortized per-row price, so rebalance
 /// targets — and therefore row placement and output order — are identical
-/// whichever cost model is active. This is what keeps columnar results
-/// byte-for-byte equal to the row engine's.
+/// under any batch price settings. This is what keeps results
+/// byte-for-byte equal across the X7 ablation's price lists.
 fn estimate_rates(expr: &Expr, profilers: &[UdfProfiler], opts: &ExecOptions) -> Vec<f64> {
     profilers
         .iter()
@@ -2344,6 +2301,9 @@ fn estimate_rates(expr: &Expr, profilers: &[UdfProfiler], opts: &ExecOptions) ->
         .collect()
 }
 
+/// Re-balance ahead of a UDF stage per [`ExecOptions::rebalance`].
+/// Returns the placed rows and the virtual seconds of the row exchange
+/// (zero when no re-balance runs).
 fn maybe_rebalance(
     cluster: &mut Cluster,
     solutions: Vec<SolutionBatch>,
@@ -2351,13 +2311,13 @@ fn maybe_rebalance(
     profilers: &[UdfProfiler],
     opts: &ExecOptions,
     metrics: &MetricsRegistry,
-) -> Vec<SolutionBatch> {
+) -> (Vec<SolutionBatch>, f64) {
     let total: u64 = solutions.iter().map(|s| s.len() as u64).sum();
     if total == 0 {
-        return solutions;
+        return (solutions, 0.0);
     }
     match opts.rebalance {
-        RebalanceMode::None => solutions,
+        RebalanceMode::None => (solutions, 0.0),
         RebalanceMode::CountBased => {
             metrics.counter_with("ids_engine_rebalances_total", "mode", "count").inc();
             let plan = plan_count_based(total, solutions.len());
@@ -2480,120 +2440,145 @@ impl RankDegradation {
         debug_assert!(u64::try_from(rank).is_ok(), "rank {rank} exceeds u64 annotation field");
         let rank = u64::try_from(rank).unwrap_or(u64::MAX);
         let mut anns = lock_unpoisoned(out);
-        if self.panic_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::WorkerPanic,
-                detail: self.panic_first.unwrap_or_default(),
-                rows_dropped: self.panic_rows,
-            });
-        }
-        if self.eval_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::EvalError,
-                detail: self.eval_first.unwrap_or_default(),
-                rows_dropped: self.eval_rows,
-            });
-        }
-        if self.deadline_rows > 0 {
-            anns.push(ErrorAnnotation {
-                stage: stage.to_string(),
-                rank,
-                kind: DegradedKind::DeadlineExceeded,
-                detail: format!("{deadline_secs:.6}s stage deadline"),
-                rows_dropped: self.deadline_rows,
-            });
+        // Panic and eval tallies carry their first message; a deadline's
+        // detail is the budget that fired.
+        let deadline = || format!("{deadline_secs:.6}s stage deadline");
+        for (kind, rows_dropped, detail) in [
+            (DegradedKind::WorkerPanic, self.panic_rows, self.panic_first),
+            (DegradedKind::EvalError, self.eval_rows, self.eval_first),
+            (DegradedKind::DeadlineExceeded, self.deadline_rows, None),
+        ] {
+            if rows_dropped > 0 {
+                let detail = detail.unwrap_or_else(deadline);
+                anns.push(ErrorAnnotation {
+                    stage: stage.to_string(),
+                    rank,
+                    kind,
+                    detail,
+                    rows_dropped,
+                });
+            }
         }
     }
 }
 
-/// Run a FILTER stage: re-balance, per-rank reorder, evaluate, retain.
-/// Worker panics are retried per row ([`ExecOptions::row_retries`]); with
+/// A UDF-bearing stage. Both kinds share one driver, [`run_udf_stage`];
+/// they differ only in what a successfully evaluated row turns into.
+#[derive(Clone, Copy)]
+enum UdfStage<'a> {
+    /// FILTER: keep the row when the predicate holds. Conjunctions are
+    /// reordered per rank from its own profile (§2.4.3).
+    Filter(&'a Expr),
+    /// APPLY: bind the UDF's output as a new column; `Null` drops the row.
+    Apply { udf: &'a str, args: &'a [Expr], bind_as: &'a str },
+}
+
+/// Encode an APPLY output into the dictionary so it flows like any other
+/// term; `None` for `Null`, which drops the row (SPARQL error semantics).
+fn bind_term(value: UdfValue, dict: &Dictionary) -> Option<TermId> {
+    let term = match value {
+        UdfValue::F64(v) => Term::float(v),
+        UdfValue::I64(v) => Term::Int(v),
+        UdfValue::Str(s) => Term::str(s),
+        UdfValue::Bool(b) => Term::Int(b as i64),
+        UdfValue::Id(id) => return Some(TermId(id)),
+        UdfValue::Null => return None,
+    };
+    Some(dict.encode(&term))
+}
+
+/// Run a FILTER or APPLY stage: re-balance, evaluate each rank's rows in
+/// batches of [`ExecOptions::batch_rows`], and keep or bind them. Worker
+/// panics are retried per row ([`ExecOptions::row_retries`]); with
 /// [`ExecOptions::degrade`] on, rows that still fail (or fall past the
-/// stage deadline) are dropped and annotated instead of failing the query.
+/// stage deadline) are dropped and annotated under `phase_name` instead of
+/// failing the query. Returns the stage output and the virtual seconds the
+/// re-balance exchange took, which the caller books apart from the stage.
 #[allow(clippy::too_many_arguments)]
-fn run_filter_stage(
+fn run_udf_stage(
     cluster: &mut Cluster,
     ds: &Datastore,
     registry: &UdfRegistry,
     profilers: &mut [UdfProfiler],
     solutions: Vec<SolutionBatch>,
-    expr: &Expr,
-    opts: &ExecOptions,
-    _breakdown: &mut StageBreakdown,
+    stage: UdfStage<'_>,
     phase_name: &str,
+    opts: &ExecOptions,
     metrics: &MetricsRegistry,
     annotations: &mut Vec<ErrorAnnotation>,
     recovery: &mut RecoveryReport,
-) -> Result<Vec<SolutionBatch>, ExecError> {
-    let solutions = maybe_rebalance(cluster, solutions, expr, profilers, opts, metrics);
+) -> Result<(Vec<SolutionBatch>, f64), ExecError> {
+    // APPLY re-balances with the UDF itself as the cost driver.
+    let probe;
+    let (cost_expr, kind) = match stage {
+        UdfStage::Filter(expr) => (expr, "filter"),
+        UdfStage::Apply { udf, .. } => {
+            probe = Expr::udf(udf.to_string(), vec![]);
+            (&probe, "apply")
+        }
+    };
+    let (solutions, rebalance_secs) =
+        maybe_rebalance(cluster, solutions, cost_expr, profilers, opts, metrics);
     let dict = ds.dictionary().clone();
-
     // §2.4.3 decision counters: did this rank's profile change the
     // conjunct order, or confirm the written one?
-    let reordered_ctr =
-        metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "reordered");
-    let kept_ctr = metrics.counter_with("ids_engine_reorder_decisions_total", "decision", "kept");
+    let reorder_ctrs = matches!(stage, UdfStage::Filter(_)).then(|| {
+        let ctr = |d| metrics.counter_with("ids_engine_reorder_decisions_total", "decision", d);
+        (ctr("reordered"), ctr("kept"))
+    });
     let fault_ctrs = StageFaultCtrs::new(metrics);
-    let batch_meter = BatchMeter::new(metrics, "filter");
-    // Columnar mode amortizes the per-row evaluation overhead (registry
-    // lookups, dispatch) across a batch; the UDF's own charged time is
-    // real work and is never amortized.
-    let eval_overhead = if opts.columnar {
-        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
-    } else {
-        opts.eval_secs_per_row
-    };
+    let batch_meter = BatchMeter::new(metrics, kind);
+    // Batching amortizes the per-row evaluation overhead (registry
+    // lookups, dispatch); the UDF's own charged time is real work and is
+    // never amortized.
+    let eval_overhead = opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0);
+    let batch_rows = opts.batch_rows.max(1);
 
     let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
     let stage_anns: Mutex<Vec<ErrorAnnotation>> = Mutex::new(Vec::new());
     let policy = speculation_policy(opts);
-    let (results, spec): (Vec<(SolutionBatch, UdfProfiler, u64)>, _) = cluster
-        .execute_with_speculation(phase_name, policy.as_ref(), |ctx| {
+    let (results, spec): (Vec<(SolutionBatch, UdfProfiler)>, _) =
+        cluster.execute_with_speculation(phase_name, policy.as_ref(), |ctx| {
             let r = ctx.rank().index();
             set_current_rank(ctx.rank());
             let input = &solutions[r];
             let mut profiler = profilers[r].clone();
 
-            // §2.4.3: per-rank conjunct reordering. Reordering itself must not
-            // panic; row evaluation below is individually contained.
-            let local_expr = if opts.reorder_conjuncts {
-                if let Expr::And(conjuncts) = expr {
+            // The rank's expression is built once, outside the row loop.
+            let mut vars = input.vars().to_vec();
+            let local_expr = match stage {
+                UdfStage::Filter(Expr::And(conjuncts)) if opts.reorder_conjuncts => {
                     let order = order_conjuncts(
                         conjuncts,
                         &profiler,
                         |_| opts.udf_cost_prior,
                         opts.udf_rejection_prior,
                     );
-                    if order.iter().enumerate().any(|(pos, &i)| pos != i) {
-                        reordered_ctr.inc();
-                    } else {
-                        kept_ctr.inc();
+                    if let Some((reordered, kept)) = &reorder_ctrs {
+                        let changed = order.iter().enumerate().any(|(pos, &i)| pos != i);
+                        if changed { reordered } else { kept }.inc();
                     }
                     ids_udf::reorder::reorder_and(conjuncts.clone(), &order)
-                } else {
-                    expr.clone()
                 }
-            } else {
-                expr.clone()
+                UdfStage::Filter(expr) => expr.clone(),
+                UdfStage::Apply { udf, args, bind_as } => {
+                    vars.push(bind_as.to_string());
+                    Expr::udf(udf.to_string(), args.to_vec())
+                }
             };
 
-            let mut kept = SolutionBatch::empty(input.vars().to_vec());
+            let mut out = SolutionBatch::empty(vars);
             let mut evals = 0u64;
             let mut spent = 0.0f64;
             let mut deg = RankDegradation::default();
             let mut rowbuf: Vec<TermId> = Vec::new();
             let n_rows = input.len();
             for i in 0..n_rows {
-                // Batch boundary: in columnar mode the engine dispatches the
-                // filter once per batch of rows, not once per row.
-                if opts.columnar && i % opts.batch_rows.max(1) == 0 {
-                    let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
+                // Batch boundary: the stage is dispatched once per batch of
+                // rows, not once per row.
+                if i % batch_rows == 0 {
                     batch_meter.batches.inc();
-                    batch_meter.rows.observe(this_batch as f64);
+                    batch_meter.rows.observe((n_rows - i).min(batch_rows) as f64);
                     ctx.charge(opts.batch_dispatch_secs);
                     spent += opts.batch_dispatch_secs;
                 }
@@ -2625,18 +2610,33 @@ fn run_filter_stage(
                     },
                     || {
                         let mut cx = EvalCtx::new(registry, &mut profiler);
-                        let out = local_expr.eval_bool(&bindings, &mut cx);
-                        (out, cx.charged_secs)
+                        let res = match stage {
+                            UdfStage::Filter(_) => {
+                                local_expr.eval_bool(&bindings, &mut cx).map(UdfValue::Bool)
+                            }
+                            UdfStage::Apply { .. } => local_expr.eval(&bindings, &mut cx),
+                        };
+                        (res, cx.charged_secs)
                     },
                 );
                 match verdict {
-                    Ok((Ok(pass), charged)) => {
+                    Ok((Ok(value), charged)) => {
                         let c = charged + eval_overhead;
                         ctx.charge(c);
                         spent += c;
                         evals += 1;
-                        if pass {
-                            kept.push_row(&rowbuf);
+                        match stage {
+                            UdfStage::Filter(_) => {
+                                if value == UdfValue::Bool(true) {
+                                    out.push_row(&rowbuf);
+                                }
+                            }
+                            UdfStage::Apply { .. } => {
+                                if let Some(id) = bind_term(value, &dict) {
+                                    rowbuf.push(id);
+                                    out.push_row(&rowbuf);
+                                }
+                            }
                         }
                     }
                     Ok((Err(e), charged)) => {
@@ -2656,19 +2656,24 @@ fn run_filter_stage(
                             deg.panic_rows += 1;
                             deg.panic_first.get_or_insert(msg);
                         } else {
-                            // Fail fast, like the pre-retry executor: record
-                            // the panic and stop this rank's work.
+                            // Fail fast: record the panic and stop this
+                            // rank's work.
                             lock_unpoisoned(&errors)
-                                .push(format!("rank {r} filter worker panicked: {msg}"));
+                                .push(format!("rank {r} {kind} worker panicked: {msg}"));
                             break;
                         }
                     }
                 }
             }
             deg.flush(phase_name, r, opts.stage_deadline_secs, &stage_anns);
-            ctx.count("filter_evals", evals);
-            ctx.count("filter_kept", kept.len() as u64);
-            (kept, profiler, evals)
+            match stage {
+                UdfStage::Filter(_) => {
+                    ctx.count("filter_evals", evals);
+                    ctx.count("filter_kept", out.len() as u64);
+                }
+                UdfStage::Apply { .. } => ctx.count("apply_rows", out.len() as u64),
+            }
+            (out, profiler)
         });
     note_speculation(recovery, metrics, &spec);
     if !opts.pipelined {
@@ -2685,176 +2690,11 @@ fn run_filter_stage(
     annotations.extend(stage_anns.into_inner().unwrap_or_else(PoisonError::into_inner));
 
     let mut out = Vec::with_capacity(results.len());
-    for (r, (kept, profiler, _)) in results.into_iter().enumerate() {
-        profilers[r] = profiler;
-        out.push(kept);
-    }
-    Ok(out)
-}
-
-/// Run an APPLY stage: re-balance, invoke the UDF per row, bind the
-/// output. Same per-row retry/deadline/degradation treatment as
-/// [`run_filter_stage`].
-#[allow(clippy::too_many_arguments)]
-fn run_apply_stage(
-    cluster: &mut Cluster,
-    ds: &Datastore,
-    registry: &UdfRegistry,
-    profilers: &mut [UdfProfiler],
-    solutions: Vec<SolutionBatch>,
-    udf: &str,
-    args: &[Expr],
-    bind_as: &str,
-    opts: &ExecOptions,
-    _breakdown: &mut StageBreakdown,
-    metrics: &MetricsRegistry,
-    annotations: &mut Vec<ErrorAnnotation>,
-    recovery: &mut RecoveryReport,
-) -> Result<Vec<SolutionBatch>, ExecError> {
-    // Re-balance using the UDF itself as the cost driver.
-    let probe_expr = Expr::udf(udf.to_string(), vec![]);
-    let solutions = maybe_rebalance(cluster, solutions, &probe_expr, profilers, opts, metrics);
-    let dict = ds.dictionary().clone();
-    let fault_ctrs = StageFaultCtrs::new(metrics);
-    let batch_meter = BatchMeter::new(metrics, "apply");
-    let eval_overhead = if opts.columnar {
-        opts.eval_secs_per_row / opts.columnar_eval_amortization.max(1.0)
-    } else {
-        opts.eval_secs_per_row
-    };
-    let stage_name = format!("apply:{udf}");
-
-    let errors: Mutex<Vec<String>> = Mutex::new(Vec::new());
-    let stage_anns: Mutex<Vec<ErrorAnnotation>> = Mutex::new(Vec::new());
-    let policy = speculation_policy(opts);
-    let (results, spec): (Vec<(SolutionBatch, UdfProfiler)>, _) =
-        cluster.execute_with_speculation(&stage_name, policy.as_ref(), |ctx| {
-            let r = ctx.rank().index();
-            set_current_rank(ctx.rank());
-            let input = &solutions[r];
-            let mut profiler = profilers[r].clone();
-
-            let mut vars = input.vars().to_vec();
-            vars.push(bind_as.to_string());
-            let mut out = SolutionBatch::empty(vars);
-            let mut spent = 0.0f64;
-            let mut deg = RankDegradation::default();
-            let mut rowbuf: Vec<TermId> = Vec::new();
-            // The call expression is identical for every row — build it once
-            // per rank instead of re-allocating it inside the hot loop.
-            let call = Expr::udf(udf.to_string(), args.to_vec());
-            let n_rows = input.len();
-            for i in 0..n_rows {
-                if opts.columnar && i % opts.batch_rows.max(1) == 0 {
-                    let this_batch = (n_rows - i).min(opts.batch_rows.max(1));
-                    batch_meter.batches.inc();
-                    batch_meter.rows.observe(this_batch as f64);
-                    ctx.charge(opts.batch_dispatch_secs);
-                    spent += opts.batch_dispatch_secs;
-                }
-                if spent > opts.stage_deadline_secs {
-                    let remaining = (n_rows - i) as u64;
-                    fault_ctrs.deadline_hits.inc();
-                    fault_ctrs.dropped_rows.add(remaining);
-                    if opts.degrade {
-                        deg.deadline_rows = remaining;
-                    } else {
-                        lock_unpoisoned(&errors).push(format!(
-                            "rank {r} {stage_name} stage exceeded its {:.6}s deadline \
-                         with {remaining} rows unprocessed",
-                            opts.stage_deadline_secs
-                        ));
-                    }
-                    break;
-                }
-                input.copy_row(i, &mut rowbuf);
-                let bindings = RowBindings::new(input.vars(), &rowbuf, &dict);
-                let verdict = retry_row(
-                    opts,
-                    &fault_ctrs,
-                    |secs| {
-                        ctx.charge(secs);
-                        spent += secs;
-                    },
-                    || {
-                        let mut cx = EvalCtx::new(registry, &mut profiler);
-                        let res = call.eval(&bindings, &mut cx);
-                        (res, cx.charged_secs)
-                    },
-                );
-                match verdict {
-                    Ok((Ok(value), charged)) => {
-                        let c = charged + eval_overhead;
-                        ctx.charge(c);
-                        spent += c;
-                        // Bind the output: encode into the dictionary so it
-                        // flows like any other term.
-                        let term = match value {
-                            ids_udf::UdfValue::F64(v) => ids_graph::Term::float(v),
-                            ids_udf::UdfValue::I64(v) => ids_graph::Term::Int(v),
-                            ids_udf::UdfValue::Str(s) => ids_graph::Term::str(s),
-                            ids_udf::UdfValue::Bool(b) => ids_graph::Term::Int(b as i64),
-                            ids_udf::UdfValue::Id(id) => {
-                                rowbuf.push(TermId(id));
-                                out.push_row(&rowbuf);
-                                continue;
-                            }
-                            ids_udf::UdfValue::Null => {
-                                // Nulls drop the row (SPARQL error semantics).
-                                continue;
-                            }
-                        };
-                        let id = dict.encode(&term);
-                        rowbuf.push(id);
-                        out.push_row(&rowbuf);
-                    }
-                    Ok((Err(e), charged)) => {
-                        ctx.charge(charged);
-                        spent += charged;
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.eval_rows += 1;
-                            deg.eval_first.get_or_insert_with(|| e.to_string());
-                        } else {
-                            lock_unpoisoned(&errors).push(e.to_string());
-                        }
-                    }
-                    Err(msg) => {
-                        if opts.degrade {
-                            fault_ctrs.dropped_rows.inc();
-                            deg.panic_rows += 1;
-                            deg.panic_first.get_or_insert(msg);
-                        } else {
-                            lock_unpoisoned(&errors)
-                                .push(format!("rank {r} apply worker panicked: {msg}"));
-                            break;
-                        }
-                    }
-                }
-            }
-            deg.flush(&stage_name, r, opts.stage_deadline_secs, &stage_anns);
-            ctx.count("apply_rows", out.len() as u64);
-            (out, profiler)
-        });
-    note_speculation(recovery, metrics, &spec);
-    if !opts.pipelined {
-        // Same stage-closing policy as run_filter_stage: barrier only in
-        // BSP mode.
-        cluster.barrier();
-    }
-
-    let errs = errors.into_inner().unwrap_or_else(PoisonError::into_inner);
-    if let Some(first) = errs.first() {
-        return Err(ExecError::msg(format!("{} ({} total failures)", first, errs.len())));
-    }
-    annotations.extend(stage_anns.into_inner().unwrap_or_else(PoisonError::into_inner));
-
-    let mut out = Vec::with_capacity(results.len());
     for (r, (set, profiler)) in results.into_iter().enumerate() {
         profilers[r] = profiler;
         out.push(set);
     }
-    Ok(out)
+    Ok((out, rebalance_secs))
 }
 
 #[cfg(test)]

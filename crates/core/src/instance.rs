@@ -526,6 +526,25 @@ mod tests {
         // The instance must stay usable: no poisoned executor state.
         let out = inst.query("SELECT ?p WHERE { ?p <rdf:type> <up:Protein> . }").unwrap();
         assert_eq!(out.solutions.len(), 20);
+        // The failed stage's rebalance time must not leak into the next
+        // FILTER query's breakdown: it matches a fresh instance's.
+        let clean = "SELECT ?p WHERE { ?p <up:len> ?l . FILTER(?l >= 100) }";
+        let after = inst.query(clean).unwrap();
+        let fresh = demo_instance().query(clean).unwrap();
+        let (a, f) = (&after.breakdown, &fresh.breakdown);
+        assert!(f.rebalance_secs > 0.0, "the clean query rebalances");
+        assert!(
+            (a.rebalance_secs - f.rebalance_secs).abs() < 1e-12,
+            "rebalance_secs {} vs fresh {}",
+            a.rebalance_secs,
+            f.rebalance_secs
+        );
+        assert!(
+            (a.filter_secs - f.filter_secs).abs() < 1e-12,
+            "filter_secs {} vs fresh {}",
+            a.filter_secs,
+            f.filter_secs
+        );
     }
 
     #[test]
@@ -609,6 +628,42 @@ mod tests {
         let text = inst.explain("SELECT ?p WHERE { ?p <up:len> ?l . FILTER(picky(?l)) }").unwrap();
         assert!(text.contains("faults & degradation"), "{text}");
         assert!(text.contains("rows dropped"), "{text}");
+
+        // The same UDF as a post-WHERE FILTER stage annotates `stage-filter`.
+        let out = inst.query("SELECT ?p WHERE { ?p <up:len> ?l . } FILTER(picky(?l))").unwrap();
+        assert_eq!(out.solutions.len(), 10);
+        assert_eq!(out.rows_dropped(), 10);
+        assert!(out.annotations.iter().all(
+            |a| a.kind == crate::engine::DegradedKind::WorkerPanic && a.stage == "stage-filter"
+        ));
+
+        // APPLY: panicking rows are dropped and annotated `apply:<udf>`; a
+        // `Null` output drops its row silently (no annotation).
+        inst.registry()
+            .register_static(
+                "picky_bind",
+                StdArc::new(|args: &[UdfValue]| -> UdfOutput {
+                    let l = args[0].as_f64().unwrap_or(0.0);
+                    if l >= 100.0 {
+                        panic!("row poisoned at len {l}");
+                    }
+                    let v = if l == 0.0 { UdfValue::Null } else { UdfValue::F64(l) };
+                    UdfOutput::new(v, 0.01)
+                }),
+            )
+            .unwrap();
+        let out = inst
+            .query("SELECT ?p ?x WHERE { ?p <up:len> ?l . } APPLY picky_bind(?l) AS ?x")
+            .unwrap();
+        // len 10..90 bind; len 0 is Null; len >= 100 panics.
+        assert_eq!(out.solutions.len(), 9);
+        assert_eq!(out.rows_dropped(), 10);
+        assert!(out
+            .annotations
+            .iter()
+            .all(|a| a.kind == crate::engine::DegradedKind::WorkerPanic
+                && a.stage == "apply:picky_bind"));
+        assert!(out.annotations.iter().any(|a| a.detail.contains("row poisoned")));
     }
 
     #[test]
@@ -634,6 +689,39 @@ mod tests {
         assert_eq!(out.solutions.len() as u64 + out.rows_dropped(), 20);
         let snap = inst.metrics_snapshot();
         assert!(snap.counter("ids_engine_stage_deadline_hits_total", "") > 0);
+
+        // Post-WHERE FILTER and APPLY stages obey the same deadline, under
+        // their own stage names.
+        let stage_q = "SELECT ?p WHERE { ?p <up:len> ?l . } FILTER(?l >= 0)";
+        let apply_q = "SELECT ?p ?x WHERE { ?p <up:len> ?l . } APPLY scale(?l) AS ?x";
+        for (q, stage) in [(stage_q, "stage-filter"), (apply_q, "apply:scale")] {
+            for degrade in [false, true] {
+                let mut inst = demo_instance();
+                inst.registry()
+                    .register_static(
+                        "scale",
+                        StdArc::new(|args: &[UdfValue]| {
+                            UdfOutput::new(UdfValue::F64(args[0].as_f64().unwrap_or(0.0)), 0.01)
+                        }),
+                    )
+                    .unwrap();
+                inst.exec_options_mut().stage_deadline_secs = 2.5e-7;
+                inst.exec_options_mut().degrade = degrade;
+                if !degrade {
+                    let err = inst.query(q).unwrap_err().to_string();
+                    assert!(err.contains(&format!("{stage} stage exceeded")), "{err}");
+                    continue;
+                }
+                let out = inst.query(q).unwrap();
+                assert!(out.solutions.len() < 20, "{stage}: some rows must be dropped");
+                assert!(out
+                    .annotations
+                    .iter()
+                    .all(|a| a.stage == stage
+                        && a.kind == crate::engine::DegradedKind::DeadlineExceeded));
+                assert_eq!(out.solutions.len() as u64 + out.rows_dropped(), 20, "{stage}");
+            }
+        }
     }
 
     #[test]

@@ -96,12 +96,15 @@ pub fn order_conjuncts(
 }
 
 /// Apply an order to a conjunction, producing the reordered `Expr::And`.
+/// A malformed order can neither drop nor repeat a conjunct: out-of-range
+/// and repeated indices are skipped, and conjuncts the order never names
+/// follow in written order.
 pub fn reorder_and(conjuncts: Vec<Expr>, order: &[usize]) -> Expr {
-    debug_assert_eq!(conjuncts.len(), order.len());
     let mut slots: Vec<Option<Expr>> = conjuncts.into_iter().map(Some).collect();
-    Expr::And(
-        order.iter().map(|&i| slots[i].take().expect("order must be a permutation")).collect(),
-    )
+    let mut out: Vec<Expr> =
+        order.iter().filter_map(|&i| slots.get_mut(i).and_then(Option::take)).collect();
+    out.extend(slots.into_iter().flatten());
+    Expr::And(out)
 }
 
 /// Expected cost of evaluating a chain in the given order, under
@@ -209,6 +212,21 @@ mod tests {
             }
             _ => panic!("expected And"),
         }
+    }
+
+    #[test]
+    fn reorder_and_survives_malformed_orders() {
+        let names = |e: Expr| match e {
+            Expr::And(es) => es.iter().map(|c| c.udf_names()[0].to_string()).collect::<Vec<_>>(),
+            _ => panic!("expected And"),
+        };
+        let abc = || vec![udf_conjunct("a"), udf_conjunct("b"), udf_conjunct("c")];
+        // Out of range and repeated indices are skipped; the rest follow.
+        assert_eq!(names(reorder_and(abc(), &[5, 0, 0])), ["a", "b", "c"]);
+        // A short order keeps the unnamed conjuncts in written order.
+        assert_eq!(names(reorder_and(abc(), &[2])), ["c", "a", "b"]);
+        assert_eq!(names(reorder_and(abc(), &[])), ["a", "b", "c"]);
+        assert_eq!(names(reorder_and(vec![], &[1, 0])), Vec::<String>::new());
     }
 
     #[test]

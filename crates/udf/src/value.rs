@@ -73,28 +73,27 @@ impl UdfValue {
     pub fn compare(&self, other: &UdfValue) -> Option<std::cmp::Ordering> {
         use UdfValue::*;
         match (self, other) {
-            (F64(_) | I64(_), F64(_) | I64(_)) => {
-                let (a, b) = (self.as_f64().expect("numeric"), other.as_f64().expect("numeric"));
-                Some(match (a.is_nan(), b.is_nan()) {
-                    (false, false) => a.partial_cmp(&b).expect("non-NaN floats are comparable"),
-                    (true, true) => {
-                        NAN_COMPARISONS.fetch_add(1, AtomicOrdering::Relaxed);
-                        std::cmp::Ordering::Equal
-                    }
-                    (true, false) => {
-                        NAN_COMPARISONS.fetch_add(1, AtomicOrdering::Relaxed);
-                        std::cmp::Ordering::Greater
-                    }
-                    (false, true) => {
-                        NAN_COMPARISONS.fetch_add(1, AtomicOrdering::Relaxed);
-                        std::cmp::Ordering::Less
-                    }
-                })
-            }
+            (F64(a), F64(b)) => Some(numeric_order(*a, *b)),
+            (F64(a), I64(b)) => Some(numeric_order(*a, *b as f64)),
+            (I64(a), F64(b)) => Some(numeric_order(*a as f64, *b)),
+            (I64(a), I64(b)) => Some(numeric_order(*a as f64, *b as f64)),
             (Str(a), Str(b)) => Some(a.cmp(b)),
             (Bool(a), Bool(b)) => Some(a.cmp(b)),
             (Id(a), Id(b)) => Some(a.cmp(b)),
             _ => None,
+        }
+    }
+}
+
+/// IEEE order for comparable numbers (so `-0.0 == +0.0`, which
+/// `f64::total_cmp` would break), with NaN sorting last and each NaN
+/// comparison counted.
+fn numeric_order(a: f64, b: f64) -> std::cmp::Ordering {
+    match a.partial_cmp(&b) {
+        Some(ord) => ord,
+        None => {
+            NAN_COMPARISONS.fetch_add(1, AtomicOrdering::Relaxed);
+            a.is_nan().cmp(&b.is_nan())
         }
     }
 }
@@ -139,6 +138,16 @@ mod tests {
         assert_eq!(nan.compare(&nan), Some(Ordering::Equal));
         assert_eq!(nan.compare(&UdfValue::I64(0)), Some(Ordering::Greater));
         assert_eq!(nan_comparison_count() - before, 4, "each NaN comparison is metered");
+    }
+
+    #[test]
+    fn signed_zeros_compare_equal() {
+        let (neg, pos) = (UdfValue::F64(-0.0), UdfValue::F64(0.0));
+        assert_eq!(neg.compare(&pos), Some(Ordering::Equal));
+        assert_eq!(pos.compare(&neg), Some(Ordering::Equal));
+        assert_eq!(neg.compare(&UdfValue::I64(0)), Some(Ordering::Equal));
+        assert_eq!(UdfValue::I64(-1).compare(&neg), Some(Ordering::Less));
+        assert_eq!(UdfValue::I64(2).compare(&UdfValue::I64(1)), Some(Ordering::Greater));
     }
 
     #[test]

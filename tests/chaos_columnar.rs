@@ -1,12 +1,14 @@
-//! Columnar/row parity under chaos: the `columnar` execution option
-//! selects a virtual-time *cost model*, never a data plane — batches are
-//! the internal representation in both modes. This suite pins the PR's
-//! core invariant: whatever fault schedule the chaos matrix throws at
-//! the cluster, the columnar engine returns **byte-identical**
-//! `QueryOutcome` rows to the legacy row-at-a-time engine.
+//! Columnar/row price parity under chaos: the batch price settings
+//! (`batch_dispatch_secs`, `columnar_eval_amortization`,
+//! `columnar_join_amortization`) select a virtual-time *cost model*,
+//! never a data plane — there is one batched engine. This suite pins the
+//! invariant: whatever fault schedule the chaos matrix throws at the
+//! cluster, the default batch prices return **byte-identical**
+//! `QueryOutcome` rows to the row-at-a-time prices (no dispatch charge,
+//! no amortization).
 //!
 //! Fault-free, equality is exact (same rows, same order, same term ids).
-//! Under faults the two modes accrue different virtual times — that is
+//! Under faults the two price lists accrue different virtual times — that is
 //! the point of the ablation — so fault windows can intersect stages
 //! differently; rows are compared as sorted decoded multisets, the same
 //! tolerance `chaos_faults.rs` grants dilated clocks.
@@ -71,8 +73,8 @@ fn small_config() -> NcnprConfig {
 }
 
 /// Launch one instance with the full NCNPR workflow installed and the
-/// execution mode pinned; identical to the `chaos_faults.rs` harness
-/// except for the explicit `columnar` switch.
+/// price list pinned; identical to the `chaos_faults.rs` harness except
+/// that `columnar = false` selects the row-at-a-time prices.
 fn launch(topo: Topology, faults: Option<(u64, FaultConfig)>, columnar: bool) -> IdsInstance {
     let cache = Arc::new(CacheManager::new(
         topo,
@@ -91,7 +93,12 @@ fn launch(topo: Topology, faults: Option<(u64, FaultConfig)>, columnar: bool) ->
     let dataset = build(inst.datastore(), &small_config());
     let target = dataset.target.clone();
     install_workflow(&mut inst, &target, WorkflowModels::test_models());
-    inst.exec_options_mut().columnar = columnar;
+    if !columnar {
+        let opts = inst.exec_options_mut();
+        opts.batch_dispatch_secs = 0.0;
+        opts.columnar_eval_amortization = 1.0;
+        opts.columnar_join_amortization = 1.0;
+    }
     inst
 }
 
@@ -172,8 +179,8 @@ fn chaos_matrix_row_vs_columnar_parity() {
     }
 }
 
-/// Serialized intermediates are mode-agnostic: encoding the final
-/// solutions of each engine as a reuse checkpoint yields the exact same
+/// Serialized intermediates are price-agnostic: encoding the final
+/// solutions of each run as a reuse checkpoint yields the exact same
 /// wire bytes, and the O(1) `encoded_len` accounting matches the
 /// measured size — the number the cache admission path charges.
 #[test]
